@@ -15,6 +15,7 @@ from collections import Counter
 from ._parallel import ordered_map
 from .core import (
     ClanError,
+    count_clans,
     dimension,
     enumerate_clans,
     format_clan,
@@ -27,6 +28,9 @@ from .verify import report_lines, run_checks
 
 POSET_SIZE_BOUND = 9
 VERIFY_MAX_N = 8
+#: `enumerate` and `stats` refuse signatures with more clans than this;
+#: (6,6) has 845,691.
+ENUMERATE_MAX_CLANS = 1_000_000
 
 
 def _nonnegative(text: str) -> int:
@@ -102,7 +106,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _too_many_clans(args: argparse.Namespace) -> bool:
+    total = count_clans(args.p, args.q)
+    if total <= ENUMERATE_MAX_CLANS:
+        return False
+    print(
+        f"error: ({args.p},{args.q}) has {total} clans, above the bound {ENUMERATE_MAX_CLANS}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if _too_many_clans(args):
+        return 2
     clans = enumerate_clans(args.p, args.q)
     smooth = ordered_map(is_rationally_smooth, clans, args.jobs)
     if args.format == "json":
@@ -152,6 +169,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if _too_many_clans(args):
+        return 2
     clans = enumerate_clans(args.p, args.q)
     smooth = ordered_map(is_rationally_smooth, clans, args.jobs)
     histogram = Counter(dimension(c) for c in clans)

@@ -124,35 +124,46 @@ def canonicalize(entries: Iterable[Entry]) -> Clan:
     >>> canonicalize((3, 1, 1, 3)).entries
     (1, 2, 2, 1)
     """
-    seq = list(entries)
     counts: dict[int, int] = {}
-    for e in seq:
-        if is_sign(e):
-            continue
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+    relabel: dict[int, int] = {}
+    out: list[Entry] = []
+    plus = minus = 0
+    for e in entries:
+        if e == PLUS:
+            plus += 1
+        elif e == MINUS:
+            minus += 1
+        elif not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise ClanError(f"invalid clan entry {e!r}")
-        counts[e] = counts.get(e, 0) + 1
+        else:
+            if e in relabel:
+                counts[e] += 1
+            else:
+                counts[e] = 1
+                relabel[e] = len(relabel) + 1
+            e = relabel[e]
+        out.append(e)
     for e, c in counts.items():
         if c != 2:
             raise ClanError(
                 f"number {e} occurs {c} time(s); every number must occur exactly twice"
             )
-    relabel: dict[int, int] = {}
-    out: list[Entry] = []
-    plus = minus = 0
-    for e in seq:
-        if e == PLUS:
-            plus += 1
-            out.append(e)
-        elif e == MINUS:
-            minus += 1
-            out.append(e)
-        else:
-            if e not in relabel:
-                relabel[e] = len(relabel) + 1
-            out.append(relabel[e])
     k = len(relabel)
-    return Clan(tuple(out), plus + k, minus + k)
+    return _trusted_clan(tuple(out), plus + k, minus + k)
+
+
+def _trusted_clan(entries: tuple[Entry, ...], p: int, q: int) -> Clan:
+    """Build a Clan from entries already known to be canonical for (p, q).
+
+    Skips ``Clan.__post_init__``: :func:`canonicalize` has checked every
+    entry and pair count, numbers pairs by first occurrence and infers the
+    signature, so a second validation would only repeat its work.
+    """
+    clan = object.__new__(Clan)
+    object.__setattr__(clan, "entries", entries)
+    object.__setattr__(clan, "p", p)
+    object.__setattr__(clan, "q", q)
+    return clan
 
 
 def parse_clan(text: str, p: int, q: int) -> Clan:
@@ -181,7 +192,7 @@ def _tokens(text: str) -> list[str]:
 def _parse_token(token: str) -> Entry:
     if token == PLUS or token == MINUS:
         return token
-    if token.isdigit() and token[0] != "0":
+    if token.isascii() and token.isdigit() and token[0] != "0":
         return int(token)
     raise ClanError(f"bad clan token {token!r}: expected '+', '-' or a number >= 1")
 
@@ -344,7 +355,43 @@ def prefix_signature(clan: Clan) -> SignaturePrefix:
 
 def is_closed(clan: Clan) -> bool:
     """True when the clan is all signs, i.e. the orbit is closed."""
-    return all(is_sign(e) for e in clan.entries)
+    entries = clan.entries
+    return entries.count(PLUS) + entries.count(MINUS) == len(entries)
+
+
+def noncompact_reflections(closed: Clan) -> list[tuple[int, int]]:
+    """Position pairs (i, j), i < j, holding opposite signs.
+
+    >>> noncompact_reflections(canonicalize(("+", "-", "+")))
+    [(1, 2), (2, 3)]
+    """
+    if not is_closed(closed):
+        raise ClanError(f"clan {format_clan(closed)} is not closed")
+    entries = closed.entries
+    return [
+        (i, j)
+        for i, j in combinations(range(1, closed.n + 1), 2)
+        if entries[i - 1] != entries[j - 1]
+    ]
+
+
+def apply_reflection(closed: Clan, i: int, j: int) -> Clan:
+    """Replace the opposite signs at i < j by a pair; dimension rises by j - i.
+
+    >>> str(apply_reflection(canonicalize(("-", "+", "-", "+")), 1, 4))
+    '1,+,-,1'
+    """
+    if not is_closed(closed):
+        raise ClanError(f"clan {format_clan(closed)} is not closed")
+    if not 1 <= i < j <= closed.n:
+        raise ClanError(f"positions ({i},{j}) out of range for n={closed.n}")
+    a, b = closed.entries[i - 1], closed.entries[j - 1]
+    if a == b:
+        raise ClanError(f"positions ({i},{j}) hold equal signs {a!r}")
+    new = list(closed.entries)
+    new[i - 1] = closed.n + 1
+    new[j - 1] = closed.n + 1
+    return canonicalize(new)
 
 
 def open_clan(p: int, q: int) -> Clan:

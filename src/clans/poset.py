@@ -24,12 +24,14 @@ from typing import Iterator
 from .core import (
     Clan,
     ClanError,
+    apply_reflection,
     canonicalize,
     dimension,
     enumerate_clans,
     format_clan,
     is_closed,
     is_sign,
+    noncompact_reflections,
 )
 from ._parallel import ordered_map
 
@@ -115,9 +117,13 @@ class OrbitPoset:
     """All clans of signature (p, q) under the move-generated closure order.
 
     Elements sit in enumeration order; reachability is kept as one bitmask
-    per element, so order queries are O(1) after the build.  Instances are
-    immutable once constructed and safe to share; build with
-    :func:`build_poset`.
+    per element, so order queries are O(1) after the build.  The index-level
+    accessors (:meth:`down_mask`, :meth:`closed_below_indices`,
+    :meth:`reflections`) answer the same questions by element index without
+    hashing clans.  The table of noncompact reflections of the closed
+    elements is built on first use of :meth:`reflections`, once per poset.
+    Apart from that cache, instances are immutable once constructed and safe
+    to share; build with :func:`build_poset`.
     """
 
     def __init__(
@@ -165,6 +171,7 @@ class OrbitPoset:
         self._down = down
         self.cover_indices = tuple(covers)
         self._closed_mask = sum(1 << i for i, c in enumerate(elements) if is_closed(c))
+        self._reflections: dict[int, tuple[tuple[tuple[int, int], int], ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -191,8 +198,32 @@ class OrbitPoset:
 
     def closed_below(self, clan: Clan) -> set[Clan]:
         """The all-sign clans in the lower set of the given clan."""
-        mask = self._down[self.index_of(clan)] & self._closed_mask
-        return {self.elements[i] for i in _bits(mask)}
+        return {self.elements[i] for i in self.closed_below_indices(self.index_of(clan))}
+
+    def down_mask(self, i: int) -> int:
+        """Bitmask of the element indices below-or-equal element i."""
+        return self._down[i]
+
+    def closed_below_indices(self, i: int) -> list[int]:
+        """Indices of the closed elements below element i, ascending (token order)."""
+        return list(_bits(self._down[i] & self._closed_mask))
+
+    def reflections(self, i: int) -> tuple[tuple[tuple[int, int], int], ...]:
+        """((a, b), image index) for each noncompact reflection of closed element i.
+
+        Listed in the order of :func:`~clans.core.noncompact_reflections`;
+        the image is :func:`~clans.core.apply_reflection` of the element.
+        """
+        if self._reflections is None:
+            closed = {k: self.elements[k] for k in _bits(self._closed_mask)}
+            self._reflections = {
+                k: tuple(
+                    ((a, b), self._index[apply_reflection(c, a, b)])
+                    for a, b in noncompact_reflections(c)
+                )
+                for k, c in closed.items()
+            }
+        return self._reflections[i]
 
     def hasse_covers(self) -> list[tuple[Clan, Clan]]:
         """Transitive-reduction edges (lower, upper), by element index."""

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import (
@@ -28,11 +26,12 @@ from .core import (
     PLUS,
     Clan,
     ClanError,
+    apply_reflection,
     base_dimension,
     canonicalize,
     format_clan,
     is_closed,
-    token_sort_key,
+    noncompact_reflections,
 )
 from .poset import OrbitPoset
 
@@ -52,62 +51,20 @@ class ReflectionWitness:
     hits: tuple[tuple[int, int], ...]
 
 
-def noncompact_reflections(closed: Clan) -> list[tuple[int, int]]:
-    """Position pairs (i, j), i < j, holding opposite signs.
-
-    >>> noncompact_reflections(canonicalize(("+", "-", "+")))
-    [(1, 2), (2, 3)]
-    """
-    if not is_closed(closed):
-        raise ClanError(f"clan {format_clan(closed)} is not closed")
-    entries = closed.entries
-    return [
-        (i, j)
-        for i, j in combinations(range(1, closed.n + 1), 2)
-        if entries[i - 1] != entries[j - 1]
-    ]
-
-
-def apply_reflection(closed: Clan, i: int, j: int) -> Clan:
-    """Replace the opposite signs at i < j by a pair; dimension rises by j - i.
-
-    >>> str(apply_reflection(canonicalize(("-", "+", "-", "+")), 1, 4))
-    '1,+,-,1'
-    """
-    if not is_closed(closed):
-        raise ClanError(f"clan {format_clan(closed)} is not closed")
-    if not 1 <= i < j <= closed.n:
-        raise ClanError(f"positions ({i},{j}) out of range for n={closed.n}")
-    a, b = closed.entries[i - 1], closed.entries[j - 1]
-    if a == b:
-        raise ClanError(f"positions ({i},{j}) hold equal signs {a!r}")
-    new = list(closed.entries)
-    new[i - 1] = closed.n + 1
-    new[j - 1] = closed.n + 1
-    return canonicalize(new)
-
-
-@lru_cache(maxsize=None)
-def _reflection_images(closed: Clan) -> tuple[tuple[tuple[int, int], Clan], ...]:
-    return tuple(
-        ((i, j), apply_reflection(closed, i, j))
-        for i, j in noncompact_reflections(closed)
-    )
-
-
 def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionWitness:
     """Count the reflections sending the closed orbit below the target."""
     if not is_closed(closed):
         raise ClanError(f"clan {format_clan(closed)} is not closed")
-    if not poset.leq(closed, target):
+    c = poset.index_of(closed)
+    t = poset.index_of(target)
+    below = poset.down_mask(t)
+    if not below >> c & 1:
         raise ClanError(
             f"closed clan {format_clan(closed)} does not lie below {format_clan(target)}"
         )
-    budget = poset.dims[poset.index_of(target)] - base_dimension(poset.p, poset.q)
+    budget = poset.dims[t] - base_dimension(poset.p, poset.q)
     hits = tuple(
-        positions
-        for positions, image in _reflection_images(closed)
-        if poset.leq(image, target)
+        [positions for positions, image in poset.reflections(c) if below >> image & 1]
     )
     return ReflectionWitness(closed, target, budget, len(hits), hits)
 
@@ -121,8 +78,9 @@ def springer_diagnosis(poset: OrbitPoset, target: Clan) -> Optional[ReflectionWi
     failing side matches the geometry (those closures are not rationally
     smooth).
     """
-    for closed in sorted(poset.closed_below(target), key=token_sort_key):
-        witness = springer_count(poset, closed, target)
+    elements = poset.elements
+    for c in poset.closed_below_indices(poset.index_of(target)):
+        witness = springer_count(poset, elements[c], target)
         if EXCEEDS_BUDGET(witness.count, witness.budget):
             return witness
     return None

@@ -10,6 +10,7 @@ report, never something to patch over.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -34,7 +35,7 @@ from .patterns import (
     structural_check,
     verify_certificate,
 )
-from .poset import _bits, build_poset
+from .poset import build_poset
 from .springer import springer_count, springer_diagnosis
 
 
@@ -157,20 +158,21 @@ def _signature_checks(
         )
     )
 
-    signatures = [prefix_signature(c) for c in elements]
+    # The order is the reflexive-transitive closure of the move edges and
+    # componentwise domination is reflexive and transitive, so checking every
+    # move edge checks every relation.
+    counts = []
+    for c in poset.elements:
+        signature = prefix_signature(c)
+        counts.append(signature.plus + signature.minus)
     prefix_bad = ""
-    for i, c in enumerate(elements):
-        lower = signatures[i]
-        for j in _bits(poset._up[i]):
-            if j == i:
-                continue
-            upper = signatures[j]
-            if any(x < y for x, y in zip(lower.plus, upper.plus)) or any(
-                x < y for x, y in zip(lower.minus, upper.minus)
-            ):
+    for i, upper_indices in enumerate(poset.succ):
+        lower = counts[i]
+        for j in upper_indices:
+            if any(map(operator.lt, lower, counts[j])):
                 prefix_bad = (
-                    f"{format_clan(c)} <= {format_clan(poset.elements[j])} "
-                    "violates prefix-count monotonicity"
+                    f"move {format_clan(poset.elements[i])} -> "
+                    f"{format_clan(poset.elements[j])} violates prefix-count monotonicity"
                 )
                 break
         if prefix_bad:
@@ -220,9 +222,9 @@ def _signature_checks(
         )
     )
 
-    for target in elements:
-        for closed in sorted(poset.closed_below(target), key=token_sort_key):
-            witness = springer_count(poset, closed, target)
+    for t, target in enumerate(poset.elements):
+        for c in poset.closed_below_indices(t):
+            witness = springer_count(poset, poset.elements[c], target)
             statistic.pairs += 1
             if witness.count >= witness.budget:
                 statistic.at_least += 1

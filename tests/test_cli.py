@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -91,6 +92,14 @@ class TestClassify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1,\u00b2,1,+", "\u0661,+,\u0661,-"])
+    def test_non_ascii_digits_are_usage_errors(self, capsys, text):
+        # "²" passes str.isdigit but not int(); Arabic-Indic "١" passes both
+        code, out, err = run_main(capsys, "classify", "--p", "2", "--q", "2", "--clan", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestPoset:
     def test_dot(self, capsys):
@@ -166,6 +175,17 @@ class TestStats:
         code, out, _ = run_main(capsys, "stats", "--p", "2", "--q", "1")
         rows = dict(line.split("\t") for line in out.strip().split("\n"))
         assert rows["clans"] == "6" and rows["closed"] == "3"
+
+
+class TestClanCountBound:
+    @pytest.mark.parametrize("command", ["enumerate", "stats"])
+    def test_refused_before_any_work(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, command, "--p", "9", "--q", "9")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: (9,9) has 11338512185 clans, above the bound 1000000\n"
 
 
 class TestUsage:

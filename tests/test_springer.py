@@ -10,6 +10,7 @@ from clans import (
     FORBIDDEN_PATTERNS,
     apply_reflection,
     base_dimension,
+    build_poset,
     collapse_to_closed,
     dimension,
     enumerate_clans,
@@ -137,6 +138,44 @@ class TestSpringerCount:
             "count": 4,
             "hits": [[1, 3], [1, 4], [2, 3], [2, 4]],
         }
+
+
+class TestIndexKernelAgainstOracle:
+    def test_hits_match_bfs_oracle_up_to_n5(self):
+        for n in range(1, 6):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                closed_clans = [c for c in poset.elements if is_closed(c)]
+                for target in poset.elements:
+                    for closed in closed_clans:
+                        if not oracles.bfs_below(closed, target):
+                            continue
+                        witness = springer_count(poset, closed, target)
+                        expected = [
+                            ij
+                            for ij in noncompact_reflections(closed)
+                            if oracles.bfs_below(apply_reflection(closed, *ij), target)
+                        ]
+                        assert list(witness.hits) == expected
+                        assert witness.count == len(expected)
+                        assert witness.budget == dimension(target) - dimension(closed)
+
+    def test_separately_built_posets_agree(self):
+        # each poset carries its own reflection table: diagnosing on one,
+        # then on a poset of another signature, then on a fresh build of the
+        # first signature must give the same witnesses
+        for p, q in ((2, 2), (3, 3)):
+            first = build_poset(p, q)
+            before = [springer_diagnosis(first, c) for c in first.elements]
+            other = build_poset(q + 1, p)
+            for c in other.elements:
+                springer_diagnosis(other, c)
+            second = build_poset(p, q)
+            assert second is not first
+            after = [springer_diagnosis(second, c) for c in second.elements]
+            assert after == before
+            assert [springer_diagnosis(first, c) for c in first.elements] == before
+            assert any(w is not None for w in before)
 
 
 class TestDiagnosis:

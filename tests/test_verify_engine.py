@@ -1,5 +1,9 @@
 """The self-check engine behind `clans verify`."""
 
+import hashlib
+
+from clans import OrbitPoset, parse_clan
+from clans import verify
 from clans.verify import report_lines, run_checks
 
 
@@ -45,3 +49,38 @@ def test_jobs_invariant():
     a = report_lines(*run_checks(max_n=4, jobs=1))
     b = report_lines(*run_checks(max_n=4, jobs=2))
     assert a == b
+
+
+def test_prefix_monotonicity_fails_on_a_bad_move_edge(monkeypatch):
+    # 1,1,+,- -> -,1,+,1 raises the dimension from 3 to 4, so only the
+    # prefix-count check can object: the first minus count falls from 1 to 0
+    real_build = verify.build_poset
+
+    def build_with_extra_edge(p, q, **kwargs):
+        poset = real_build(p, q, **kwargs)
+        if (p, q) != (2, 2):
+            return poset
+        low = poset.index_of(parse_clan("1,1,+,-", 2, 2))
+        high = poset.index_of(parse_clan("-,1,+,1", 2, 2))
+        assert (poset.dims[low], poset.dims[high]) == (3, 4)
+        succ = list(poset.succ)
+        succ[low] = tuple(sorted(succ[low] + (high,)))
+        return OrbitPoset(p, q, poset.elements, poset.dims, tuple(succ))
+
+    monkeypatch.setattr(verify, "build_poset", build_with_extra_edge)
+    results, statistic = run_checks(max_n=4)
+    lines = report_lines(results, statistic)
+    failing = [line for line in lines if line.startswith("FAIL prefix-monotonicity")]
+    assert len(failing) == 1
+    assert failing[0].startswith("FAIL prefix-monotonicity p=2 q=2")
+    assert "-,1,+,1" in failing[0]
+
+
+def test_golden_report_up_to_n7():
+    lines = report_lines(*run_checks(max_n=7))
+    assert lines[-2:] == [
+        "count>=budget held for 21906/21906 (closed, target) pairs",
+        "209/212 checks passed",
+    ]
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "3189eaf284d3bd2c19b7b09e0a7d899f9e6a9a332f19cec5e466ec99bd90cad6"
