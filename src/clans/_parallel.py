@@ -10,19 +10,16 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def resolve_jobs(jobs: int) -> int:
-    """0 means all cores; otherwise the given positive count."""
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R]:
+    """Map over `jobs` workers (0 = all cores), results in input order."""
     if jobs < 0:
         raise ValueError("jobs must be >= 0")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R]:
     data = list(items)
-    workers = resolve_jobs(jobs)
-    if workers == 1 or len(data) < 2:
+    cores = os.cpu_count() or 1
+    # The pool forks every worker on its first submit, so it is never asked
+    # for more workers than there are cores or items.
+    workers = min(jobs or cores, cores, len(data))
+    if workers <= 1:
         return [fn(x) for x in data]
     chunk = max(1, len(data) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -31,6 +31,9 @@ VERIFY_MAX_N = 8
 #: `enumerate` and `stats` refuse signatures with more clans than this;
 #: (6,6) has 845,691.
 ENUMERATE_MAX_CLANS = 1_000_000
+#: ... and clans longer than this.  The work per clan grows with its length,
+#: and below this length `count_clans` is cheap and its result is short.
+ENUMERATE_MAX_LENGTH = 32
 
 
 def _nonnegative(text: str) -> int:
@@ -52,8 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=_nonnegative, required=True, help="plus-side signature")
         p.add_argument("--q", type=_nonnegative, required=True, help="minus-side signature")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_out(p)
         p.add_argument(
             "--jobs",
             type=_nonnegative,
@@ -70,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls = sub.add_parser("classify", help="smoothness verdict for one clan, as JSON")
     add_signature(cls)
     cls.add_argument("--clan", required=True, metavar="TEXT", help='e.g. "1,+,-,1"')
-    add_common(cls)
+    add_out(cls)
     cls.set_defaults(func=cmd_classify)
 
     pos = sub.add_parser("poset", help="closure order as a DOT diagram or TSV dump")
@@ -107,13 +113,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _too_many_clans(args: argparse.Namespace) -> bool:
-    total = count_clans(args.p, args.q)
-    if total <= ENUMERATE_MAX_CLANS:
+    """Refuse, before any work, a signature too long or with too many clans."""
+    p, q = args.p, args.q
+    if p + q > ENUMERATE_MAX_LENGTH:
+        error = f"p+q={p + q} exceeds the clan length bound {ENUMERATE_MAX_LENGTH}"
+    elif (total := count_clans(p, q)) > ENUMERATE_MAX_CLANS:
+        error = f"({p},{q}) has {total} clans, above the bound {ENUMERATE_MAX_CLANS}"
+    else:
         return False
-    print(
-        f"error: ({args.p},{args.q}) has {total} clans, above the bound {ENUMERATE_MAX_CLANS}",
-        file=sys.stderr,
-    )
+    print(f"error: {error}", file=sys.stderr)
     return True
 
 

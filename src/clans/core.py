@@ -193,7 +193,10 @@ def _parse_token(token: str) -> Entry:
     if token == PLUS or token == MINUS:
         return token
     if token.isascii() and token.isdigit() and token[0] != "0":
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts from text
+            raise ClanError(f"pair number with {len(token)} digits is too long") from None
     raise ClanError(f"bad clan token {token!r}: expected '+', '-' or a number >= 1")
 
 

@@ -116,14 +116,15 @@ def _bits(mask: int) -> Iterator[int]:
 class OrbitPoset:
     """All clans of signature (p, q) under the move-generated closure order.
 
-    Elements sit in enumeration order; reachability is kept as one bitmask
-    per element, so order queries are O(1) after the build.  The index-level
-    accessors (:meth:`down_mask`, :meth:`closed_below_indices`,
-    :meth:`reflections`) answer the same questions by element index without
-    hashing clans.  The table of noncompact reflections of the closed
-    elements is built on first use of :meth:`reflections`, once per poset.
-    Apart from that cache, instances are immutable once constructed and safe
-    to share; build with :func:`build_poset`.
+    Elements sit in enumeration order; reachability is kept as one down-set
+    bitmask per element, so :meth:`leq` is one bit test after the build and
+    :meth:`upper_set` scans the down-sets.  The index-level accessors
+    (:meth:`down_mask`, :meth:`closed_below_indices`, :meth:`reflections`)
+    answer the same questions by element index without hashing clans.  The
+    table of noncompact reflections of the closed elements is built on first
+    use of :meth:`reflections`, once per poset.  Apart from that cache,
+    instances are immutable once constructed and safe to share; build with
+    :func:`build_poset`.
     """
 
     def __init__(
@@ -143,31 +144,21 @@ class OrbitPoset:
         self._index = {c: i for i, c in enumerate(elements)}
         size = len(elements)
 
-        up = [0] * size
-        for i in sorted(range(size), key=lambda i: dims[i], reverse=True):
-            m = 1 << i
+        # Every move edge raises the dimension, so visiting elements by
+        # ascending dimension finishes each down-set before it is pushed on.
+        down = [1 << i for i in range(size)]
+        for i in sorted(range(size), key=dims.__getitem__):
             for j in succ[i]:
-                m |= up[j]
-            up[i] = m
-        preds: list[list[int]] = [[] for _ in range(size)]
-        for i in range(size):
-            for j in succ[i]:
-                preds[j].append(i)
-        down = [0] * size
-        for j in sorted(range(size), key=lambda j: dims[j]):
-            m = 1 << j
-            for i in preds[j]:
-                m |= down[i]
-            down[j] = m
+                down[j] |= down[i]
 
+        # A successor j is a cover unless another successor of i lies below it.
         covers: list[tuple[int, ...]] = []
         for i in range(size):
-            blocked = 0
-            for j in succ[i]:
-                blocked |= up[j] & ~(1 << j)
-            covers.append(tuple(j for j in succ[i] if not (blocked >> j) & 1))
+            succ_mask = sum(1 << j for j in succ[i])
+            covers.append(
+                tuple(j for j in succ[i] if not down[j] & succ_mask & ~(1 << j))
+            )
 
-        self._up = up
         self._down = down
         self.cover_indices = tuple(covers)
         self._closed_mask = sum(1 << i for i, c in enumerate(elements) if is_closed(c))
@@ -186,7 +177,8 @@ class OrbitPoset:
 
     def leq(self, a: Clan, b: Clan) -> bool:
         """Is the a-orbit contained in the closure of the b-orbit?"""
-        return bool(self._up[self.index_of(a)] >> self.index_of(b) & 1)
+        low = self.index_of(a)
+        return bool(self._down[self.index_of(b)] >> low & 1)
 
     def lower_set(self, clan: Clan) -> set[Clan]:
         """Every element below-or-equal the given clan."""
@@ -194,7 +186,8 @@ class OrbitPoset:
 
     def upper_set(self, clan: Clan) -> set[Clan]:
         """Every element above-or-equal the given clan."""
-        return {self.elements[i] for i in _bits(self._up[self.index_of(clan)])}
+        i = self.index_of(clan)
+        return {self.elements[j] for j, down in enumerate(self._down) if down >> i & 1}
 
     def closed_below(self, clan: Clan) -> set[Clan]:
         """The all-sign clans in the lower set of the given clan."""

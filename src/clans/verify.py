@@ -19,14 +19,11 @@ from .core import (
     Clan,
     base_dimension,
     count_clans,
-    dimension,
-    enumerate_clans,
     format_clan,
     is_closed,
     open_clan,
     parse_clan,
     prefix_signature,
-    token_sort_key,
 )
 from .patterns import (
     DecompositionError,
@@ -95,7 +92,8 @@ def _signature_checks(
 ) -> list[CheckResult]:
     n = p + q
     out: list[CheckResult] = []
-    elements = enumerate_clans(p, q)
+    poset = build_poset(p, q, jobs=jobs)
+    elements = poset.elements
 
     expected = count_clans(p, q)
     closed_count = sum(1 for c in elements if is_closed(c))
@@ -110,12 +108,11 @@ def _signature_checks(
         )
     )
 
-    dims = [dimension(c) for c in elements]
     base = base_dimension(p, q)
     full = n * (n - 1) // 2
     top = open_clan(p, q)
     bad = ""
-    for c, d in zip(elements, dims):
+    for c, d in zip(elements, poset.dims):
         if not base <= d <= full:
             bad = f"{format_clan(c)} has dimension {d} outside [{base},{full}]"
         elif (d == base) != is_closed(c):
@@ -134,7 +131,6 @@ def _signature_checks(
         )
     )
 
-    poset = build_poset(p, q, jobs=jobs)
     edges = sum(len(s) for s in poset.succ)
     monotone = all(
         poset.dims[j] > poset.dims[i]
@@ -145,9 +141,9 @@ def _signature_checks(
         CheckResult("move-monotonicity", p, q, monotone, f"{edges} move edges all raise dimension")
     )
 
-    extremes_ok = poset.maximum() == top and sorted(
-        poset.minimal_elements(), key=token_sort_key
-    ) == [c for c in elements if is_closed(c)]
+    extremes_ok = poset.maximum() == top and poset.minimal_elements() == [
+        c for c in elements if is_closed(c)
+    ]
     out.append(
         CheckResult(
             "poset-extremes",

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from clans import _parallel
 from clans.cli import main
 
 
@@ -100,6 +101,19 @@ class TestClassify:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_overlong_pair_number_is_usage_error(self, capsys):
+        # more digits than int() converts from text
+        text = "1" * 5000 + ",+"
+        code, out, err = run_main(capsys, "classify", "--p", "1", "--q", "1", "--clan", text)
+        assert code == 2
+        assert out == ""
+        assert err == "error: pair number with 5000 digits is too long\n"
+
+    def test_no_jobs_flag(self):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "--p", "1", "--q", "1", "--clan", "1,1", "--jobs", "2"])
+        assert info.value.code == 2
+
 
 class TestPoset:
     def test_dot(self, capsys):
@@ -187,6 +201,19 @@ class TestClanCountBound:
         assert out == ""
         assert err == "error: (9,9) has 11338512185 clans, above the bound 1000000\n"
 
+    @pytest.mark.parametrize(
+        "p, q", [("2000", "2000"), ("20000", "20000"), ("1000000000", "0")]
+    )
+    @pytest.mark.parametrize("command", ["enumerate", "stats"])
+    def test_long_clans_refused_before_any_work(self, capsys, command, p, q):
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, command, "--p", p, "--q", q)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        n = int(p) + int(q)
+        assert err == f"error: p+q={n} exceeds the clan length bound 32\n"
+
 
 class TestUsage:
     def test_no_command(self):
@@ -227,6 +254,35 @@ class TestDeterminismAcrossJobs:
             )
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_jobs_clamped_to_cores_and_items(self, capsys, monkeypatch):
+        # the pool forks every worker on its first submit, so a huge --jobs
+        # must not reach it; the recorder runs the map serially, forking nothing
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, data, chunksize):
+                return map(fn, data)
+
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+        _, serial, _ = run_main(capsys, "enumerate", "--p", "3", "--q", "2")
+        _, clamped, _ = run_main(
+            capsys, "enumerate", "--p", "3", "--q", "2", "--jobs", "100000"
+        )
+        assert clamped == serial
+        assert _parallel.ordered_map(abs, [-1, 2, -3], 0) == [1, 2, 3]
+        assert _parallel.ordered_map(abs, [-1], 100000) == [1]
+        assert requested == [4, 3]
 
     def test_verify_jobs(self, capsys):
         outs = []

@@ -69,6 +69,17 @@ class TestParseFormat:
             with pytest.raises(ClanError):
                 parse_clan(text, 2, 2)
 
+    @given(
+        st.one_of(st.text(), st.text(alphabet="+-,0123456789 \u00b2\u0661")),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    def test_parse_raises_only_clan_error(self, text, p, q):
+        try:
+            parse_clan(text, p, q)
+        except ClanError:
+            pass
+
     def test_parse_empty_clan(self):
         assert parse_clan("", 0, 0).entries == ()
 

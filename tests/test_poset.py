@@ -1,5 +1,6 @@
 """Moves, the closure order, and its exports."""
 
+import hashlib
 import random
 
 import pytest
@@ -184,6 +185,15 @@ class TestOrderQueries:
     def test_upper_set(self):
         poset = oracles.get_poset(1, 1)
         assert texts(poset.upper_set(parse_clan("+,-", 1, 1))) == ["+,-", "1,1"]
+        for n in range(1, 5):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                for low in poset.elements:
+                    upper = poset.upper_set(low)
+                    assert upper == {c for c in poset.elements if poset.leq(low, c)}
+                    assert upper == {
+                        c for c in poset.elements if oracles.bfs_below(low, c)
+                    }
 
 
 class TestHasseAndExports:
@@ -202,16 +212,18 @@ class TestHasseAndExports:
     def test_covers_are_transitive_reduction(self):
         # removing a cover edge must change reachability; adding back any
         # non-cover successor edge must not
-        poset = oracles.get_poset(2, 2)
-        for i in range(len(poset)):
-            for j in poset.succ[i]:
-                is_cover = j in poset.cover_indices[i]
-                via = any(
-                    poset.leq(poset.elements[k], poset.elements[j])
-                    for k in poset.succ[i]
-                    if k != j
-                )
-                assert is_cover == (not via)
+        for n in range(1, 6):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                for i in range(len(poset)):
+                    for j in poset.succ[i]:
+                        is_cover = j in poset.cover_indices[i]
+                        via = any(
+                            poset.leq(poset.elements[k], poset.elements[j])
+                            for k in poset.succ[i]
+                            if k != j
+                        )
+                        assert is_cover == (not via)
 
     def test_dot_shapes(self):
         dot = export_dot(oracles.get_poset(1, 1))
@@ -227,6 +239,17 @@ class TestHasseAndExports:
         a = export_dot(build_poset(2, 1))
         b = export_dot(build_poset(2, 1))
         assert a == b
+
+    def test_exports_pinned_4_4(self):
+        poset = oracles.get_poset(4, 4)
+        digests = [
+            hashlib.sha256(export(poset).encode()).hexdigest()
+            for export in (export_tsv, export_dot)
+        ]
+        assert digests == [
+            "bd2d1d3dd6ca78f2259deccd122adb96688ad84619f30ea66ad9ca7ad8714eeb",
+            "2ea4805e86452deb25a0d478abf36c06dc5cdb0424053462fe707f76c64af687",
+        ]
 
     def test_tsv(self):
         tsv = export_tsv(oracles.get_poset(2, 1))
