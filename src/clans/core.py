@@ -129,20 +129,21 @@ def canonicalize(entries: Iterable[Entry]) -> Clan:
     out: list[Entry] = []
     plus = minus = 0
     for e in entries:
-        if e == PLUS:
-            plus += 1
-        elif e == MINUS:
-            minus += 1
-        elif not isinstance(e, int) or isinstance(e, bool) or e < 1:
+        if type(e) is not int:  # plain ints, the usual pair numbers, skip these tests
+            if e == PLUS:
+                plus += 1
+                out.append(e)
+                continue
+            if e == MINUS:
+                minus += 1
+                out.append(e)
+                continue
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise ClanError(f"invalid clan entry {e!r}")
+        if e < 1:
             raise ClanError(f"invalid clan entry {e!r}")
-        else:
-            if e in relabel:
-                counts[e] += 1
-            else:
-                counts[e] = 1
-                relabel[e] = len(relabel) + 1
-            e = relabel[e]
-        out.append(e)
+        counts[e] = counts.get(e, 0) + 1
+        out.append(relabel.setdefault(e, len(relabel) + 1))
     for e, c in counts.items():
         if c != 2:
             raise ClanError(

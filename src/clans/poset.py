@@ -10,9 +10,9 @@ Three kinds of moves enlarge an orbit:
 
 The order is the reflexive-transitive closure of these moves over all clans
 of signature (p, q).  Every move must strictly raise the orbit dimension;
-that makes the relation antisymmetric, and a generated move that fails to do
-so aborts loudly instead of being dropped, since it would mean the move rules
-are implemented wrong.
+that makes the relation antisymmetric.  :func:`build_poset` checks it once
+per move edge and aborts loudly on a move that fails it instead of dropping
+the edge, since that would mean the move rules are implemented wrong.
 """
 
 from __future__ import annotations
@@ -58,30 +58,22 @@ class Move:
 
 
 def moves(clan: Clan) -> list[Move]:
-    """Every single-move enlargement of the clan, in a deterministic order."""
+    """Every single-move enlargement of the clan, in a deterministic order.
+
+    Dimensions are not checked here; :func:`build_poset` checks each move edge.
+    """
     entries = clan.entries
-    src_dim = dimension(clan)
     sign_positions = [i for i, e in enumerate(entries, start=1) if is_sign(e)]
     mates = clan.mates()
     out: list[Move] = []
     fresh = clan.n + 1  # above any canonical pair number, so never collides
-
-    def push(kind: str, i: int, j: int, new_entries: list) -> None:
-        result = canonicalize(new_entries)
-        new_dim = dimension(result)
-        if new_dim <= src_dim:
-            raise NonIncreasingMoveError(
-                f"{kind} at ({i},{j}) on {format_clan(clan)} gives "
-                f"{format_clan(result)} with dimension {src_dim} -> {new_dim}"
-            )
-        out.append(Move(kind, (i, j), result))
 
     for i, j in combinations(sign_positions, 2):
         if entries[i - 1] != entries[j - 1]:
             new = list(entries)
             new[i - 1] = fresh
             new[j - 1] = fresh
-            push(PAIR_CREATION, i, j, new)
+            out.append(Move(PAIR_CREATION, (i, j), canonicalize(new)))
 
     for v in sorted(mates):
         m = mates[v]
@@ -89,14 +81,14 @@ def moves(clan: Clan) -> list[Move]:
             if (u > m) == (v > m) and abs(u - m) > abs(v - m):
                 new = list(entries)
                 new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-                push(ENDPOINT_SLIDE, min(u, v), max(u, v), new)
+                out.append(Move(ENDPOINT_SLIDE, (min(u, v), max(u, v)), canonicalize(new)))
 
     pair_positions = sorted(mates)
     for u, v in combinations(pair_positions, 2):
         if entries[u - 1] != entries[v - 1] and mates[u] < mates[v]:
             new = list(entries)
             new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-            push(PAIR_EXCHANGE, u, v, new)
+            out.append(Move(PAIR_EXCHANGE, (u, v), canonicalize(new)))
 
     return out
 
@@ -259,6 +251,13 @@ def build_poset(p: int, q: int, *, size_bound: int = 9, jobs: int = 1) -> OrbitP
     succ_sets = ordered_map(successors, elements, jobs)
     succ = tuple(tuple(sorted(index[s] for s in ss)) for ss in succ_sets)
     dims = tuple(dimension(c) for c in elements)
+    for i, targets in enumerate(succ):
+        for j in targets:
+            if dims[j] <= dims[i]:
+                raise NonIncreasingMoveError(
+                    f"move {format_clan(elements[i])} -> {format_clan(elements[j])} "
+                    f"takes the dimension from {dims[i]} to {dims[j]}"
+                )
     return OrbitPoset(p, q, elements, dims, succ)
 
 
@@ -277,10 +276,9 @@ def export_dot(poset: OrbitPoset) -> str:
 def export_tsv(poset: OrbitPoset) -> str:
     """One row per element: clan, dim, closed, semicolon-joined cover targets."""
     lines = ["clan\tdim\tclosed\tcovers"]
+    names = [format_clan(c) for c in poset.elements]
     for i, c in enumerate(poset.elements):
-        targets = ";".join(
-            format_clan(poset.elements[j]) for j in poset.cover_indices[i]
-        )
+        targets = ";".join(names[j] for j in poset.cover_indices[i])
         closed = "true" if is_closed(c) else "false"
-        lines.append(f"{format_clan(c)}\t{poset.dims[i]}\t{closed}\t{targets}")
+        lines.append(f"{names[i]}\t{poset.dims[i]}\t{closed}\t{targets}")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,14 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clans import _parallel
 from clans.cli import main
@@ -234,6 +237,60 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("clan\t")
+
+
+#: argv fragments: flags with a value, clan texts valid and not, junk.
+#: `--out` is left out (it writes files) and `--jobs` only ever takes 1, so
+#: no example starts a process pool.
+small_ints = st.integers(0, 3).map(str)
+clan_texts = st.sampled_from(
+    ["1,+,-,1", "1,2,2,1", "+,-", "1+1-", "1,1", "1,1,1", "0,+,0,-", "1,²,1,+", ""]
+)
+loose_tokens = st.one_of(
+    small_ints,
+    clan_texts,
+    st.sampled_from(
+        ["--p", "--q", "--format", "--clan", "--max-n", "tsv", "dot", "json",
+         "enumerate", "-", "--", "x", "--bogus", "--p=2", "-1"]
+    ),
+)
+argv_pieces = st.one_of(
+    st.tuples(st.just("--p"), small_ints),
+    st.tuples(st.just("--q"), small_ints),
+    st.tuples(st.just("--format"), st.sampled_from(["tsv", "dot", "json", "x"])),
+    st.tuples(st.just("--clan"), clan_texts),
+    st.tuples(st.just("--max-n"), small_ints),
+    st.just(("--jobs", "1")),
+    loose_tokens.map(lambda token: (token,)),
+)
+signatures = st.tuples(small_ints, small_ints).map(lambda pq: ["--p", pq[0], "--q", pq[1]])
+commands = st.one_of(
+    st.tuples(st.sampled_from(["enumerate", "poset", "stats"]), signatures).map(
+        lambda t: [t[0], *t[1]]
+    ),
+    st.tuples(signatures, clan_texts).map(lambda t: ["classify", *t[0], "--clan", t[1]]),
+    small_ints.map(lambda n: ["verify", "--max-n", n]),
+    st.sampled_from(["enumerate", "classify", "poset", "verify", "stats", "x"]).map(
+        lambda name: [name]
+    ),
+)
+fuzzed_argv = st.tuples(commands, st.lists(argv_pieces, max_size=4)).map(
+    lambda t: t[0] + [token for piece in t[1] for token in piece]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_argv)
+def test_fuzzed_argv_ends_in_an_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the usage
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    assert len(err.getvalue().splitlines()) <= 1, argv
 
 
 class TestDeterminismAcrossJobs:

@@ -96,6 +96,19 @@ class TestParseFormat:
         assert parse_clan(format_clan(clan), clan.p, clan.q) == clan
 
 
+class _Label(int):
+    """An int subclass; canonicalize accepts it as a pair number."""
+
+
+#: Signs, pair numbers in and out of range, an int subclass, and entries that
+#: only look like numbers or signs.
+raw_entries = st.one_of(
+    st.sampled_from(["+", "-", True, False, 1.0, "plus", "", "1", "+-"]),
+    st.integers(-1, 6),
+    st.integers(1, 6).map(_Label),
+)
+
+
 class TestCanonicalize:
     def test_examples(self):
         assert canonicalize((2, "+", 2, "-")).entries == (1, "+", 1, "-")
@@ -116,6 +129,45 @@ class TestCanonicalize:
         for bad in (0, -1, 1.5, "plus", True):
             with pytest.raises(ClanError):
                 canonicalize((bad, bad))
+
+    def test_int_subclass_pair_numbers(self):
+        clan = canonicalize((_Label(2), "+", _Label(2), "-"))
+        assert clan.entries == (1, "+", 1, "-")
+        assert all(type(e) is int for e in clan.entries if not isinstance(e, str))
+
+    @given(
+        st.one_of(
+            st.lists(raw_entries, max_size=10),
+            # every entry doubled, so most numbers occur exactly twice
+            st.lists(raw_entries, max_size=5).flatmap(lambda xs: st.permutations(xs + xs)),
+        )
+    )
+    def test_accepts_exactly_the_valid_entries(self, entries):
+        bad = [
+            e for e in entries
+            if e not in ("+", "-")
+            and (not isinstance(e, int) or isinstance(e, bool) or e < 1)
+        ]
+        numbers = [e for e in entries if not isinstance(e, str)]
+        try:
+            clan = canonicalize(entries)
+        except ClanError as exc:
+            if bad:
+                assert str(exc) == f"invalid clan entry {bad[0]!r}"
+            else:
+                assert any(numbers.count(e) != 2 for e in numbers)
+                assert "every number must occur exactly twice" in str(exc)
+            return
+        assert not bad and all(numbers.count(e) == 2 for e in numbers)
+        assert Clan(clan.entries, clan.p, clan.q) == clan
+        assert len(clan.entries) == len(entries)
+        for raw, got in zip(entries, clan.entries):
+            if isinstance(raw, str):
+                assert got == raw
+            else:  # a pair number keeps its position and its mate
+                assert type(got) is int
+                mates = [k for k, e in enumerate(entries) if e == raw]
+                assert mates == [k for k, e in enumerate(clan.entries) if e == got]
 
     def test_direct_constructor_validates(self):
         with pytest.raises(ClanError):

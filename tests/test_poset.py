@@ -10,6 +10,7 @@ from clans import (
     PAIR_CREATION,
     PAIR_EXCHANGE,
     ClanError,
+    NonIncreasingMoveError,
     PosetSizeError,
     build_poset,
     dimension,
@@ -109,6 +110,20 @@ class TestBuildPoset:
                 assert poset.minimal_elements() == [
                     c for c in poset.elements if is_closed(c)
                 ]
+
+    def test_non_increasing_move_edge_raises(self, monkeypatch):
+        source = parse_clan("1,+,-,1", 2, 2)
+        closed = parse_clan("+,+,-,-", 2, 2)
+
+        def with_lower(clan):
+            found = successors(clan)
+            return found | {closed} if clan == source else found
+
+        monkeypatch.setattr("clans.poset.successors", with_lower)
+        with pytest.raises(NonIncreasingMoveError) as raised:
+            build_poset(2, 2)
+        message = str(raised.value)
+        assert "1,+,-,1" in message and "+,+,-,-" in message
 
     def test_jobs_do_not_change_result(self):
         serial = build_poset(2, 2, jobs=1)
@@ -240,16 +255,25 @@ class TestHasseAndExports:
         b = export_dot(build_poset(2, 1))
         assert a == b
 
-    def test_exports_pinned_4_4(self):
-        poset = oracles.get_poset(4, 4)
-        digests = [
-            hashlib.sha256(export(poset).encode()).hexdigest()
-            for export in (export_tsv, export_dot)
-        ]
-        assert digests == [
-            "bd2d1d3dd6ca78f2259deccd122adb96688ad84619f30ea66ad9ca7ad8714eeb",
-            "2ea4805e86452deb25a0d478abf36c06dc5cdb0424053462fe707f76c64af687",
-        ]
+    def test_exports_pinned_4_4_and_5_4(self):
+        pinned = {
+            (4, 4): [
+                "bd2d1d3dd6ca78f2259deccd122adb96688ad84619f30ea66ad9ca7ad8714eeb",
+                "2ea4805e86452deb25a0d478abf36c06dc5cdb0424053462fe707f76c64af687",
+            ],
+            # the tsv digest is the one the benchmark's poset54 run checks
+            (5, 4): [
+                "bc780dbda5ea09d2e0dfb2841061f32fac0050b28b40738d08a7a6825ca64ba7",
+                "06d9f962947b27357054c324dc4e68d93c59aa3e543c6bcda2217f5cb1aad469",
+            ],
+        }
+        for (p, q), expected in pinned.items():
+            poset = build_poset(p, q)
+            digests = [
+                hashlib.sha256(export(poset).encode()).hexdigest()
+                for export in (export_tsv, export_dot)
+            ]
+            assert digests == expected, (p, q)
 
     def test_tsv(self):
         tsv = export_tsv(oracles.get_poset(2, 1))
