@@ -14,6 +14,7 @@ from collections import Counter
 
 from ._parallel import ordered_map
 from .core import (
+    Clan,
     ClanError,
     count_clans,
     dimension,
@@ -31,9 +32,10 @@ VERIFY_MAX_N = 8
 #: `enumerate` and `stats` refuse signatures with more clans than this;
 #: (6,6) has 845,691.
 ENUMERATE_MAX_CLANS = 1_000_000
-#: ... and clans longer than this.  The work per clan grows with its length,
-#: and below this length `count_clans` is cheap and its result is short.
-ENUMERATE_MAX_LENGTH = 32
+#: `enumerate`, `stats` and `classify` refuse clans longer than this.  The
+#: work per clan grows with its length, and below this length `count_clans`
+#: is cheap and its result is short.
+MAX_CLAN_LENGTH = 32
 
 
 def _nonnegative(text: str) -> int:
@@ -112,12 +114,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _too_many_clans(args: argparse.Namespace) -> bool:
-    """Refuse, before any work, a signature too long or with too many clans."""
-    p, q = args.p, args.q
-    if p + q > ENUMERATE_MAX_LENGTH:
-        error = f"p+q={p + q} exceeds the clan length bound {ENUMERATE_MAX_LENGTH}"
-    elif (total := count_clans(p, q)) > ENUMERATE_MAX_CLANS:
+def _refused(p: int, q: int, census: bool) -> bool:
+    """Refuse, before any work, clans too long or, for a census, too many."""
+    if p + q > MAX_CLAN_LENGTH:
+        error = f"p+q={p + q} exceeds the clan length bound {MAX_CLAN_LENGTH}"
+    elif census and (total := count_clans(p, q)) > ENUMERATE_MAX_CLANS:
         error = f"({p},{q}) has {total} clans, above the bound {ENUMERATE_MAX_CLANS}"
     else:
         return False
@@ -125,35 +126,35 @@ def _too_many_clans(args: argparse.Namespace) -> bool:
     return True
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    if _too_many_clans(args):
-        return 2
+def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool]] | None:
+    """The clans of (p, q) and their smoothness verdicts, or None if refused."""
+    if _refused(args.p, args.q, census=True):
+        return None
     clans = enumerate_clans(args.p, args.q)
-    smooth = ordered_map(is_rationally_smooth, clans, args.jobs)
+    return clans, ordered_map(is_rationally_smooth, clans, args.jobs)
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    if (census := _census(args)) is None:
+        return 2
+    keys = ("clan", "dim", "closed", "rationally_smooth")
+    rows = ((format_clan(c), dimension(c), is_closed(c), ok) for c, ok in zip(*census))
     if args.format == "json":
-        rows = [
-            {
-                "clan": format_clan(c),
-                "dim": dimension(c),
-                "closed": is_closed(c),
-                "rationally_smooth": ok,
-            }
-            for c, ok in zip(clans, smooth)
-        ]
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2)
     else:
-        lines = ["clan\tdim\tclosed\trationally_smooth"]
-        for c, ok in zip(clans, smooth):
-            lines.append(
-                f"{format_clan(c)}\t{dimension(c)}"
-                f"\t{'true' if is_closed(c) else 'false'}"
-                f"\t{'true' if ok else 'false'}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = ["\t".join(keys)]
+        lines.extend(
+            f"{clan}\t{dim}\t{'true' if closed else 'false'}\t{'true' if ok else 'false'}"
+            for clan, dim, closed, ok in rows
+        )
+        text = "\n".join(lines)
+    _emit(text + "\n", args.out)
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if _refused(args.p, args.q, census=False):
+        return 2
     clan = parse_clan(args.clan, args.p, args.q)
     verdict = classify(clan)
     _emit(json.dumps(verdict_json(verdict), indent=2) + "\n", args.out)
@@ -177,10 +178,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if _too_many_clans(args):
+    if (census := _census(args)) is None:
         return 2
-    clans = enumerate_clans(args.p, args.q)
-    smooth = ordered_map(is_rationally_smooth, clans, args.jobs)
+    clans, smooth = census
     histogram = Counter(dimension(c) for c in clans)
     total = len(clans)
     closed = sum(1 for c in clans if is_closed(c))

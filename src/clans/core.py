@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Union
 
 PLUS = "+"
 MINUS = "-"
@@ -156,9 +156,9 @@ def canonicalize(entries: Iterable[Entry]) -> Clan:
 def _trusted_clan(entries: tuple[Entry, ...], p: int, q: int) -> Clan:
     """Build a Clan from entries already known to be canonical for (p, q).
 
-    Skips ``Clan.__post_init__``: :func:`canonicalize` has checked every
-    entry and pair count, numbers pairs by first occurrence and infers the
-    signature, so a second validation would only repeat its work.
+    Skips ``Clan.__post_init__``: :func:`canonicalize` checks every entry and
+    pair count, and :func:`enumerate_clans` builds only canonical clans of
+    (p, q), so a second validation would only repeat their work.
     """
     clan = object.__new__(Clan)
     object.__setattr__(clan, "entries", entries)
@@ -246,41 +246,38 @@ def enumerate_clans(p: int, q: int) -> list[Clan]:
     The order is lexicographic on entries with "+" < "-" < numbers (by pair
     number), so reruns and dumps are diff-stable.
 
+    Clans are filled in depth-first, one position at a time, trying "+",
+    then "-", then closing each open pair in ascending number, then opening
+    the next pair number; that is token order, so nothing is sorted.  A
+    prefix carries the "+" and "-" it still owes the signature (a pair pays
+    one of each), and a step is taken only while both stay >= 0.  No prefix
+    is then a dead end, and every finished one is a canonical clan of (p, q):
+    each pair is closed exactly once, pairs are numbered by first
+    occurrence, and the counts owed are both zero.  So no clan is validated.
+
     >>> [format_clan(c) for c in enumerate_clans(1, 1)]
     ['+,-', '-,+', '1,1']
     """
-    n = p + q
+    if p < 0 or q < 0:
+        return []
     out: list[Clan] = []
-    for k in range(min(p, q) + 1):
-        for slots in combinations(range(n), 2 * k):
-            taken = set(slots)
-            rest = [i for i in range(n) if i not in taken]
-            for matching in _matchings(slots):
-                base: list[Entry] = [0] * n
-                for number, (a, b) in enumerate(sorted(matching), start=1):
-                    base[a] = number
-                    base[b] = number
-                for plus_slots in combinations(rest, p - k):
-                    entries = base.copy()
-                    chosen = set(plus_slots)
-                    for i in rest:
-                        entries[i] = PLUS if i in chosen else MINUS
-                    out.append(Clan(tuple(entries), p, q))
-    out.sort(key=token_sort_key)
+    # Prefixes (entries, "+" owed, "-" owed, pairs opened, open pair numbers) on
+    # a stack, as the depth is p + q; children are pushed in reverse token order.
+    stack = [((), p, q, 0, ())]
+    while stack:
+        entries, plus, minus, k, open_ = stack.pop()
+        if not (plus or minus or open_):
+            out.append(_trusted_clan(entries, p, q))
+            continue
+        if plus and minus:
+            stack.append((entries + (k + 1,), plus - 1, minus - 1, k + 1, open_ + (k + 1,)))
+        for i in range(len(open_) - 1, -1, -1):
+            stack.append((entries + (open_[i],), plus, minus, k, open_[:i] + open_[i + 1 :]))
+        if minus:
+            stack.append((entries + (MINUS,), plus, minus - 1, k, open_))
+        if plus:
+            stack.append((entries + (PLUS,), plus - 1, minus, k, open_))
     return out
-
-
-def _matchings(positions: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
-    """All partitions of the given positions into unordered pairs."""
-    items = list(positions)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        rest = items[1:i] + items[i + 1 :]
-        for sub in _matchings(rest):
-            yield [(first, items[i])] + sub
 
 
 def _entry_key(e: Entry) -> tuple[int, int]:

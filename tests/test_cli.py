@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -64,6 +65,20 @@ class TestEnumerate:
         assert target.read_text().startswith("clan\t")
 
 
+def test_census_pinned_4_4(capsys):
+    # enumerate and stats bytes at (4,4); the benchmark's census55 run checks (5,5)
+    pinned = {
+        ("enumerate", "tsv"): "e703ebb53c13d43f6e825ed17042b4c71c77034e3b867d114bb1ec8f8272d2a0",
+        ("enumerate", "json"): "54ea4fde64bbbcd9539ca9abb48e9da34244adbdfea1a21cd4735e72d55d6e79",
+        ("stats", "tsv"): "7b2dd0be082f776cad485c06af4f2d13f91d9cc6e5d21c442bc825369eb679a6",
+        ("stats", "json"): "2948c9b3611893c398cab7103a13d87de91c7fa41010b7baf4188770e5c8c407",
+    }
+    for (command, fmt), expected in pinned.items():
+        code, out, _ = run_main(capsys, command, "--p", "4", "--q", "4", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
+
+
 class TestClassify:
     def test_singular(self, capsys):
         code, out, _ = run_main(
@@ -111,6 +126,22 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err == "error: pair number with 5000 digits is too long\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [",".join(map(str, [*range(1, 18), *range(17, 0, -1)])), "not a clan"],
+        ids=["nested", "junk"],
+    )
+    def test_long_clan_refused_before_parsing(self, capsys, text):
+        # classifying the nested clan 1,2,...,m,m,...,1 takes time about cubic in m
+        start = time.perf_counter()
+        code, out, err = run_main(
+            capsys, "classify", "--p", "17", "--q", "17", "--clan", text
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "error: p+q=34 exceeds the clan length bound 32\n"
 
     def test_no_jobs_flag(self):
         with pytest.raises(SystemExit) as info:

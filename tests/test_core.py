@@ -184,11 +184,33 @@ class TestEnumerate:
         assert len(enumerate_clans(2, 1)) == 6
         assert len(enumerate_clans(2, 2)) == 21
 
+    @staticmethod
+    def assert_matches_brute_force(n):
+        for p in range(n + 1):
+            expected = sorted(oracles.brute_force_clans(p, n - p), key=token_sort_key)
+            assert enumerate_clans(p, n - p) == expected, (p, n - p)
+
     def test_against_brute_force(self):
-        for p, q in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)]:
-            got = enumerate_clans(p, q)
-            assert len(got) == len(set(got))
-            assert set(got) == oracles.brute_force_clans(p, q)
+        # the same clans in the same order: token order is built in, not sorted
+        for n in range(7):
+            self.assert_matches_brute_force(n)
+
+    @pytest.mark.slow
+    def test_against_brute_force_n7(self):
+        self.assert_matches_brute_force(7)
+
+    def test_each_clan_revalidates(self):
+        # enumerated clans skip validation; the full constructor must accept them
+        for clan in clans_up_to(7):
+            assert Clan(clan.entries, clan.p, clan.q) == clan
+
+    def test_negative_sides_have_no_clans(self):
+        assert enumerate_clans(-1, 2) == enumerate_clans(2, -1) == []
+        assert enumerate_clans(-1, -1) == []
+        assert count_clans(-1, 2) == count_clans(2, -1) == 0
+
+    def test_long_clan_needs_no_deep_recursion(self):
+        assert enumerate_clans(1200, 0) == [Clan(("+",) * 1200, 1200, 0)]
 
     def test_count_closed_form(self):
         assert count_clans(1, 1) == 3
