@@ -27,7 +27,6 @@ from .patterns import classify, is_rationally_smooth, verdict_json
 from .poset import PosetSizeError, build_poset, export_dot, export_tsv
 from .verify import report_lines, run_checks
 
-POSET_SIZE_BOUND = 9
 VERIFY_MAX_N = 8
 #: `enumerate` and `stats` refuse signatures with more clans than this;
 #: (6,6) has 845,691.
@@ -106,12 +105,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputError(Exception):
+    """The --out file could not be written."""
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as sink:
             sink.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _refused(p: int, q: int, census: bool) -> bool:
@@ -162,7 +168,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    poset = build_poset(args.p, args.q, size_bound=POSET_SIZE_BOUND, jobs=args.jobs)
+    poset = build_poset(args.p, args.q, jobs=args.jobs)
     text = export_dot(poset) if args.format == "dot" else export_tsv(poset)
     _emit(text, args.out)
     return 0
@@ -212,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ClanError, PosetSizeError) as exc:
+    except (ClanError, PosetSizeError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,10 +43,10 @@ def is_sign(entry: Entry) -> bool:
 class Clan:
     """A canonical clan together with its signature (p, q).
 
-    The constructor validates everything: pair numbers must occur exactly
-    twice and be numbered 1, 2, ... by first occurrence, and the entry counts
-    must realize the signature.  Use :func:`canonicalize` or
-    :func:`parse_clan` to build one from raw data.
+    The constructor validates through :func:`canonicalize`: pair numbers
+    must occur exactly twice and be numbered 1, 2, ... by first occurrence,
+    and the entry counts must realize the signature.  Use
+    :func:`canonicalize` or :func:`parse_clan` to build one from raw data.
     """
 
     entries: tuple[Entry, ...]
@@ -55,34 +55,15 @@ class Clan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        plus = minus = 0
-        counts: dict[int, int] = {}
-        first_seen: list[int] = []
-        for e in self.entries:
-            if e == PLUS:
-                plus += 1
-            elif e == MINUS:
-                minus += 1
-            elif isinstance(e, int) and not isinstance(e, bool) and e >= 1:
-                if e not in counts:
-                    counts[e] = 0
-                    first_seen.append(e)
-                counts[e] += 1
-            else:
-                raise ClanError(f"invalid clan entry {e!r}")
-        for e, c in counts.items():
-            if c != 2:
-                raise ClanError(
-                    f"number {e} occurs {c} time(s); every number must occur exactly twice"
-                )
-        if first_seen != list(range(1, len(first_seen) + 1)):
+        clan = canonicalize(self.entries)
+        if clan.entries != self.entries:
+            first_seen = list(dict.fromkeys(e for e in self.entries if not is_sign(e)))
             raise ClanError(
                 f"pair numbers {first_seen} are not 1..k by first occurrence; use canonicalize"
             )
-        k = len(first_seen)
-        if plus + k != self.p or minus + k != self.q:
+        if (clan.p, clan.q) != (self.p, self.q):
             raise ClanError(
-                f"entries have signature ({plus + k},{minus + k}), not ({self.p},{self.q})"
+                f"entries have signature ({clan.p},{clan.q}), not ({self.p},{self.q})"
             )
 
     @property
@@ -124,41 +105,46 @@ def canonicalize(entries: Iterable[Entry]) -> Clan:
     >>> canonicalize((3, 1, 1, 3)).entries
     (1, 2, 2, 1)
     """
+    entries = tuple(entries)
     counts: dict[int, int] = {}
-    relabel: dict[int, int] = {}
-    out: list[Entry] = []
     plus = minus = 0
     for e in entries:
-        if type(e) is not int:  # plain ints, the usual pair numbers, skip these tests
-            if e == PLUS:
-                plus += 1
-                out.append(e)
-                continue
-            if e == MINUS:
-                minus += 1
-                out.append(e)
-                continue
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ClanError(f"invalid clan entry {e!r}")
-        if e < 1:
+        if e == PLUS:
+            plus += 1
+        elif e == MINUS:
+            minus += 1
+        elif isinstance(e, int) and not isinstance(e, bool) and e >= 1:
+            counts[e] = counts.get(e, 0) + 1
+        else:
             raise ClanError(f"invalid clan entry {e!r}")
-        counts[e] = counts.get(e, 0) + 1
-        out.append(relabel.setdefault(e, len(relabel) + 1))
     for e, c in counts.items():
         if c != 2:
             raise ClanError(
                 f"number {e} occurs {c} time(s); every number must occur exactly twice"
             )
-    k = len(relabel)
-    return _trusted_clan(tuple(out), plus + k, minus + k)
+    k = len(counts)
+    return _relabelled(entries, plus + k, minus + k)
+
+
+def _relabelled(entries: Iterable[Entry], p: int, q: int) -> Clan:
+    """The clan of (p, q) with these valid entries, pairs numbered by first occurrence."""
+    relabel: dict[Entry, int] = {}
+    out: list[Entry] = []
+    for e in entries:
+        if e == PLUS or e == MINUS:
+            out.append(e)
+        else:
+            out.append(relabel.setdefault(e, len(relabel) + 1))
+    return _trusted_clan(tuple(out), p, q)
 
 
 def _trusted_clan(entries: tuple[Entry, ...], p: int, q: int) -> Clan:
     """Build a Clan from entries already known to be canonical for (p, q).
 
-    Skips ``Clan.__post_init__``: :func:`canonicalize` checks every entry and
-    pair count, and :func:`enumerate_clans` builds only canonical clans of
-    (p, q), so a second validation would only repeat their work.
+    Skips ``Clan.__post_init__``.  Its two callers number pairs canonically:
+    :func:`_relabelled`, on entries checked by :func:`canonicalize` or made
+    by a move or a reflection of a valid clan, and :func:`enumerate_clans`,
+    which fills only clans of (p, q).
     """
     clan = object.__new__(Clan)
     object.__setattr__(clan, "entries", entries)
@@ -392,7 +378,7 @@ def apply_reflection(closed: Clan, i: int, j: int) -> Clan:
     new = list(closed.entries)
     new[i - 1] = closed.n + 1
     new[j - 1] = closed.n + 1
-    return canonicalize(new)
+    return _relabelled(new, closed.p, closed.q)
 
 
 def open_clan(p: int, q: int) -> Clan:

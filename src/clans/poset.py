@@ -24,8 +24,8 @@ from typing import Iterator
 from .core import (
     Clan,
     ClanError,
+    _relabelled,
     apply_reflection,
-    canonicalize,
     dimension,
     enumerate_clans,
     format_clan,
@@ -61,8 +61,13 @@ def moves(clan: Clan) -> list[Move]:
     """Every single-move enlargement of the clan, in a deterministic order.
 
     Dimensions are not checked here; :func:`build_poset` checks each move edge.
+
+    A result needs its pairs numbered but not validating: pair creation turns
+    a "+" and a "-" into one pair, a slide swaps a sign with a pair endpoint,
+    and an exchange swaps endpoints of two pairs.  Each keeps every number
+    occurring twice and keeps the signature (p, q).
     """
-    entries = clan.entries
+    entries, p, q = clan.entries, clan.p, clan.q
     sign_positions = [i for i, e in enumerate(entries, start=1) if is_sign(e)]
     mates = clan.mates()
     out: list[Move] = []
@@ -73,7 +78,7 @@ def moves(clan: Clan) -> list[Move]:
             new = list(entries)
             new[i - 1] = fresh
             new[j - 1] = fresh
-            out.append(Move(PAIR_CREATION, (i, j), canonicalize(new)))
+            out.append(Move(PAIR_CREATION, (i, j), _relabelled(new, p, q)))
 
     for v in sorted(mates):
         m = mates[v]
@@ -81,14 +86,14 @@ def moves(clan: Clan) -> list[Move]:
             if (u > m) == (v > m) and abs(u - m) > abs(v - m):
                 new = list(entries)
                 new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-                out.append(Move(ENDPOINT_SLIDE, (min(u, v), max(u, v)), canonicalize(new)))
+                out.append(Move(ENDPOINT_SLIDE, (min(u, v), max(u, v)), _relabelled(new, p, q)))
 
     pair_positions = sorted(mates)
     for u, v in combinations(pair_positions, 2):
         if entries[u - 1] != entries[v - 1] and mates[u] < mates[v]:
             new = list(entries)
             new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-            out.append(Move(PAIR_EXCHANGE, (u, v), canonicalize(new)))
+            out.append(Move(PAIR_EXCHANGE, (u, v), _relabelled(new, p, q)))
 
     return out
 

@@ -20,7 +20,6 @@ from clans import (
     canonicalize,
     dimension,
     prefix_signature,
-    successors,
 )
 
 
@@ -58,8 +57,46 @@ def brute_embeddings(host: Clan, pattern: Clan) -> list[tuple[int, ...]]:
     return out
 
 
+def naive_moves(clan: Clan) -> list[tuple[str, tuple[int, int], Clan]]:
+    """(kind, (i, j), result) for every move, from the rules in the clans.poset docstring.
+
+    Each position pair i < j (1-based) is tried against all three rules; a
+    pair entry's mate is found with ``list.index``, and every result is
+    validated by ``canonicalize``.
+    """
+    entries = list(clan.entries)
+
+    def mate(k: int) -> int:
+        first = entries.index(entries[k])
+        return entries.index(entries[k], first + 1) if first == k else first
+
+    out = []
+    for i, j in combinations(range(len(entries)), 2):
+        a, b = entries[i], entries[j]
+        swapped = list(entries)
+        swapped[i], swapped[j] = b, a
+        if a in ("+", "-") and b in ("+", "-"):
+            # pair creation: two opposite signs become a new pair
+            if a != b:
+                created = list(entries)
+                created[i] = created[j] = len(entries) + 1
+                out.append(("pair-creation", (i + 1, j + 1), canonicalize(created)))
+        elif a in ("+", "-") or b in ("+", "-"):
+            # endpoint slide: the pair entry trades places with a sign lying
+            # farther from the entry's mate, on the same side of the mate
+            sign, entry = (i, j) if a in ("+", "-") else (j, i)
+            m = mate(entry)
+            if (sign > m) == (entry > m) and abs(sign - m) > abs(entry - m):
+                out.append(("endpoint-slide", (i + 1, j + 1), canonicalize(swapped)))
+        elif a != b and mate(i) < mate(j):
+            # pair exchange: entries of two different pairs swap, the left
+            # entry's mate lying left of the right entry's mate
+            out.append(("pair-exchange", (i + 1, j + 1), canonicalize(swapped)))
+    return out
+
+
 def bfs_below(low: Clan, high: Clan) -> bool:
-    """Move-reachability by plain BFS, independent of the bitmask closure."""
+    """Move-reachability by plain BFS over :func:`naive_moves`."""
     top = dimension(high)
     seen = {low}
     queue = deque([low])
@@ -67,7 +104,7 @@ def bfs_below(low: Clan, high: Clan) -> bool:
         current = queue.popleft()
         if current == high:
             return True
-        for nxt in successors(current):
+        for _, _, nxt in naive_moves(current):
             if dimension(nxt) <= top and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -65,6 +65,20 @@ class TestEnumerate:
         assert target.read_text().startswith("clan\t")
 
 
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "--p", "1", "--q", "1"], ["classify", "--p", "1", "--q", "1", "--clan", "1,1"]],
+    ids=["stats", "classify"],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, missing):
+    target = tmp_path / "missing" / "x" if missing else tmp_path
+    code, out, err = run_main(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_census_pinned_4_4(capsys):
     # enumerate and stats bytes at (4,4); the benchmark's census55 run checks (5,5)
     pinned = {

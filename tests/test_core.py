@@ -140,25 +140,52 @@ class TestCanonicalize:
             st.lists(raw_entries, max_size=10),
             # every entry doubled, so most numbers occur exactly twice
             st.lists(raw_entries, max_size=5).flatmap(lambda xs: st.permutations(xs + xs)),
-        )
+        ),
+        st.integers(0, 5),
+        st.integers(0, 5),
     )
-    def test_accepts_exactly_the_valid_entries(self, entries):
+    def test_accepts_exactly_the_valid_entries(self, entries, p, q):
         bad = [
             e for e in entries
             if e not in ("+", "-")
             and (not isinstance(e, int) or isinstance(e, bool) or e < 1)
         ]
         numbers = [e for e in entries if not isinstance(e, str)]
+        first_seen = list(dict.fromkeys(numbers))
+        # the message each rule raises, checked in this order; None if it holds
+        plus = entries.count("+") + len(first_seen)
+        minus = entries.count("-") + len(first_seen)
+        odd = [e for e in first_seen if numbers.count(e) != 2]
+        rules = [
+            bad and f"invalid clan entry {bad[0]!r}",
+            odd and (
+                f"number {odd[0]} occurs {numbers.count(odd[0])} time(s); "
+                "every number must occur exactly twice"
+            ),
+        ]
+        constructor_rules = rules + [
+            first_seen != list(range(1, len(first_seen) + 1)) and (
+                f"pair numbers {first_seen} are not 1..k by first occurrence; use canonicalize"
+            ),
+            (plus, minus) != (p, q)
+            and f"entries have signature ({plus},{minus}), not ({p},{q})",
+        ]
+        expected = next((m for m in constructor_rules if m), None)
+        try:
+            Clan(entries, p, q)
+        except ClanError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+        expected = next((m for m in rules if m), None)
         try:
             clan = canonicalize(entries)
         except ClanError as exc:
-            if bad:
-                assert str(exc) == f"invalid clan entry {bad[0]!r}"
-            else:
-                assert any(numbers.count(e) != 2 for e in numbers)
-                assert "every number must occur exactly twice" in str(exc)
+            assert str(exc) == expected
             return
-        assert not bad and all(numbers.count(e) == 2 for e in numbers)
+        assert expected is None
+        assert (clan.p, clan.q) == (plus, minus)
         assert Clan(clan.entries, clan.p, clan.q) == clan
         assert len(clan.entries) == len(entries)
         for raw, got in zip(entries, clan.entries):
@@ -170,10 +197,39 @@ class TestCanonicalize:
                 assert mates == [k for k, e in enumerate(clan.entries) if e == got]
 
     def test_direct_constructor_validates(self):
-        with pytest.raises(ClanError):
-            Clan((2, "+", 2, "-"), 2, 2)  # non-canonical numbering
-        with pytest.raises(ClanError):
-            Clan((1, "+", 1, "-"), 2, 1)  # wrong signature
+        # the messages of Clan(...), in the order its checks run
+        cases = [
+            (("+", 0, 0), 1, 1, "invalid clan entry 0"),
+            ((1, "x", 1), 2, 1, "invalid clan entry 'x'"),
+            ((True, True), 1, 1, "invalid clan entry True"),
+            ((1, "x"), 1, 0, "invalid clan entry 'x'"),  # before the count of 1
+            (
+                (1, 1, 1, "+"), 2, 1,
+                "number 1 occurs 3 time(s); every number must occur exactly twice",
+            ),
+            (
+                (2, 2, 3), 1, 1,  # before the numbering
+                "number 3 occurs 1 time(s); every number must occur exactly twice",
+            ),
+            (
+                (2, "+", 2, "-"), 2, 2,
+                "pair numbers [2] are not 1..k by first occurrence; use canonicalize",
+            ),
+            (
+                (2, 1, 1, 2), 2, 2,
+                "pair numbers [2, 1] are not 1..k by first occurrence; use canonicalize",
+            ),
+            (
+                (2, 2), 0, 0,  # before the signature
+                "pair numbers [2] are not 1..k by first occurrence; use canonicalize",
+            ),
+            ((1, "+", 1, "-"), 2, 1, "entries have signature (2,2), not (2,1)"),
+            (("+", "-"), 2, 0, "entries have signature (1,1), not (2,0)"),
+        ]
+        for entries, p, q, message in cases:
+            with pytest.raises(ClanError) as info:
+                Clan(entries, p, q)
+            assert str(info.value) == message
 
 
 class TestEnumerate:

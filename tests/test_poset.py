@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from clans import (
     ENDPOINT_SLIDE,
     PAIR_CREATION,
     PAIR_EXCHANGE,
+    Clan,
     ClanError,
     NonIncreasingMoveError,
     PosetSizeError,
@@ -72,6 +74,26 @@ class TestMoves:
                 for clan in enumerate_clans(p, n - p):
                     for mv in moves(clan):
                         assert oracles.rank_dominates(clan, mv.result)
+
+    @staticmethod
+    def assert_moves_match_naive_oracle(n):
+        # move results are numbered, not validated; the oracle validates each
+        for p in range(n + 1):
+            for clan in enumerate_clans(p, n - p):
+                got = moves(clan)
+                naive = oracles.naive_moves(clan)
+                assert Counter((mv.kind, mv.positions, mv.result) for mv in got) == Counter(naive)
+                assert successors(clan) == {result for _, _, result in naive}
+                for mv in got:
+                    assert mv.result == Clan(mv.result.entries, mv.result.p, mv.result.q)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_moves_match_naive_oracle(self, n):
+        self.assert_moves_match_naive_oracle(n)
+
+    @pytest.mark.slow
+    def test_moves_match_naive_oracle_n7(self):
+        self.assert_moves_match_naive_oracle(7)
 
 
 class TestBuildPoset:
