@@ -72,25 +72,33 @@ class Clan:
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Pair intervals (left, right), 1-based, indexed by pair number."""
-        left: dict[int, int] = {}
-        out: list[tuple[int, int]] = []
+        """Pair intervals (left, right), 1-based, indexed by pair number.
+
+        One pass, by the canonical numbering: a number above the count of
+        pairs opened so far opens the next pair, any other closes its pair.
+        """
+        out: list = []  # a pair's left position until its mate shows up
         for pos, e in enumerate(self.entries, start=1):
-            if is_sign(e):
+            if e == PLUS or e == MINUS:
                 continue
-            if e in left:
-                out[e - 1] = (left[e], pos)
+            if e > len(out):
+                out.append(pos)
             else:
-                left[e] = pos
-                out.append((pos, pos))  # placeholder until the mate shows up
+                out[e - 1] = (out[e - 1], pos)
         return tuple(out)
 
     def mates(self) -> dict[int, int]:
-        """Map each pair position to the position of its equal mate."""
+        """Map each pair position to its mate's, in one pass as for :attr:`pairs`."""
         out: dict[int, int] = {}
-        for left, right in self.pairs:
-            out[left] = right
-            out[right] = left
+        left: list[int] = []
+        for pos, e in enumerate(self.entries, start=1):
+            if e == PLUS or e == MINUS:
+                continue
+            if e > len(left):
+                left.append(pos)
+            else:
+                out[left[e - 1]] = pos
+                out[pos] = left[e - 1]
         return out
 
     def __str__(self) -> str:

@@ -26,12 +26,10 @@ from .core import (
     PLUS,
     Clan,
     ClanError,
-    apply_reflection,
     base_dimension,
     canonicalize,
     format_clan,
     is_closed,
-    noncompact_reflections,
 )
 from .poset import OrbitPoset
 

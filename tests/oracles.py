@@ -177,6 +177,28 @@ def clan_of_flag(flag: list[list], p: int, q: int) -> Clan:
     return canonicalize(entries)
 
 
+def naive_pairs(clan: Clan) -> list[tuple[int, int]]:
+    """Pair intervals (left, right), 1-based, indexed by pair number.
+
+    Each number's two positions are looked up with ``list.index``.
+    """
+    entries = list(clan.entries)
+    out = []
+    for number in range(1, sum(isinstance(e, int) for e in entries) // 2 + 1):
+        left = entries.index(number)
+        out.append((left + 1, entries.index(number, left + 1) + 1))
+    return out
+
+
+def naive_mates(clan: Clan) -> dict[int, int]:
+    """Map each pair position to the position of its mate, from naive_pairs."""
+    out = {}
+    for left, right in naive_pairs(clan):
+        out[left] = right
+        out[right] = left
+    return out
+
+
 def rank_invariants(clan: Clan):
     """Semicontinuous invariants of the orbit: intersection dimensions of the
     flag with its theta-image, plus the two prefix counts.
@@ -188,7 +210,7 @@ def rank_invariants(clan: Clan):
     is a necessary condition for a closure relation.
     """
     n = clan.n
-    pairs = clan.pairs
+    pairs = naive_pairs(clan)
     sign_positions = [k for k, e in enumerate(clan.entries, 1) if e in ("+", "-")]
     m = []
     for i in range(1, n + 1):
@@ -270,7 +292,7 @@ def orbit_point_count(clan: Clan) -> list[int]:
     in their directions without changing the orbit).
     """
     n, p, q = clan.n, clan.p, clan.q
-    mates = clan.mates()
+    mates = naive_mates(clan)
     a = b = 0
     open_positions: list[int] = []
     total = [1]

@@ -369,3 +369,11 @@ def test_pair_map():
     assert pair_map(clan) == {1: (1, 3), 2: (2, 5), 3: (4, 6)}
     assert clan.mates() == {1: 3, 3: 1, 2: 5, 5: 2, 4: 6, 6: 4}
     assert pair_map(parse_clan("+,-", 1, 1)) == {}
+
+
+def test_pairs_and_mates_match_the_oracle():
+    # Clan.pairs and Clan.mates() rely on canonical numbering; the oracle
+    # looks up each number's two positions
+    for clan in clans_up_to(7):
+        assert clan.pairs == tuple(oracles.naive_pairs(clan))
+        assert clan.mates() == oracles.naive_mates(clan)

@@ -160,6 +160,28 @@ class TestIndexKernelAgainstOracle:
                         assert witness.count == len(expected)
                         assert witness.budget == dimension(target) - dimension(closed)
 
+    @staticmethod
+    def assert_popcount_matches_count(n):
+        # `verify` counts a (closed, target) pair as the popcount of the
+        # target's down-set within the closed element's reflection-image mask
+        for p in range(n + 1):
+            poset = oracles.get_poset(p, n - p)
+            elements = poset.elements
+            for t, target in enumerate(elements):
+                below = poset.down_mask(t)
+                for c in poset.closed_below_indices(t):
+                    mask = sum(1 << image for _, image in poset.reflections(c))
+                    expected = springer_count(poset, elements[c], target).count
+                    assert (below & mask).bit_count() == expected
+
+    def test_popcount_matches_springer_count_up_to_n6(self):
+        for n in range(1, 7):
+            self.assert_popcount_matches_count(n)
+
+    @pytest.mark.slow
+    def test_popcount_matches_springer_count_n7(self):
+        self.assert_popcount_matches_count(7)
+
     def test_separately_built_posets_agree(self):
         # each poset carries its own reflection table: diagnosing on one,
         # then on a poset of another signature, then on a fresh build of the

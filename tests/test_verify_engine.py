@@ -2,6 +2,8 @@
 
 import hashlib
 
+import pytest
+
 from clans import OrbitPoset, parse_clan
 from clans import verify
 from clans.verify import report_lines, run_checks
@@ -84,3 +86,16 @@ def test_golden_report_up_to_n7():
     ]
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == "3189eaf284d3bd2c19b7b09e0a7d899f9e6a9a332f19cec5e466ec99bd90cad6"
+
+
+@pytest.mark.slow
+def test_golden_report_up_to_n8():
+    # the stdout of `clans verify --max-n 8`
+    lines = report_lines(*run_checks(max_n=8))
+    assert sum(line.startswith("FAIL criteria-equivalence") for line in lines) == 6
+    assert lines[-2:] == [
+        "count>=budget held for 148144/148144 (closed, target) pairs",
+        "260/266 checks passed",
+    ]
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "3623f5674bdb2f7361c6fab7ffd54c9c1929dca0cdd23085500fb737bb5bad9e"
