@@ -131,11 +131,11 @@ def canonicalize(entries: Iterable[Entry]) -> Clan:
                 f"number {e} occurs {c} time(s); every number must occur exactly twice"
             )
     k = len(counts)
-    return _relabelled(entries, plus + k, minus + k)
+    return _trusted_clan(_relabelled(entries), plus + k, minus + k)
 
 
-def _relabelled(entries: Iterable[Entry], p: int, q: int) -> Clan:
-    """The clan of (p, q) with these valid entries, pairs numbered by first occurrence."""
+def _relabelled(entries: Iterable[Entry]) -> tuple[Entry, ...]:
+    """Valid entries with their pairs renumbered 1, 2, ... by first occurrence."""
     relabel: dict[Entry, int] = {}
     out: list[Entry] = []
     for e in entries:
@@ -143,16 +143,16 @@ def _relabelled(entries: Iterable[Entry], p: int, q: int) -> Clan:
             out.append(e)
         else:
             out.append(relabel.setdefault(e, len(relabel) + 1))
-    return _trusted_clan(tuple(out), p, q)
+    return tuple(out)
 
 
 def _trusted_clan(entries: tuple[Entry, ...], p: int, q: int) -> Clan:
     """Build a Clan from entries already known to be canonical for (p, q).
 
-    Skips ``Clan.__post_init__``.  Its two callers number pairs canonically:
-    :func:`_relabelled`, on entries checked by :func:`canonicalize` or made
-    by a move or a reflection of a valid clan, and :func:`enumerate_clans`,
-    which fills only clans of (p, q).
+    Skips ``Clan.__post_init__``.  Its callers number pairs canonically:
+    :func:`canonicalize` and :func:`apply_reflection` with :func:`_relabelled`,
+    :func:`enumerate_clans` by filling in token order, and the move kernel of
+    ``clans.poset`` (see its module docstring).
     """
     clan = object.__new__(Clan)
     object.__setattr__(clan, "entries", entries)
@@ -386,7 +386,7 @@ def apply_reflection(closed: Clan, i: int, j: int) -> Clan:
     new = list(closed.entries)
     new[i - 1] = closed.n + 1
     new[j - 1] = closed.n + 1
-    return _relabelled(new, closed.p, closed.q)
+    return _trusted_clan(_relabelled(new), closed.p, closed.q)
 
 
 def open_clan(p: int, q: int) -> Clan:

@@ -13,6 +13,11 @@ of signature (p, q).  Every move must strictly raise the orbit dimension;
 that makes the relation antisymmetric.  :func:`build_poset` checks it once
 per move edge and aborts loudly on a move that fails it instead of dropping
 the edge, since that would mean the move rules are implemented wrong.
+
+Most move results come out canonical.  A pair created at signs i < j is
+number k + 1, where k pairs open before i, and every number above k goes up
+by one.  A right endpoint slide moves no first occurrence; left endpoint
+slides and exchanges can, so only their results are renumbered.
 """
 
 from __future__ import annotations
@@ -22,15 +27,17 @@ from itertools import combinations
 from typing import Iterator
 
 from .core import (
+    MINUS,
+    PLUS,
     Clan,
     ClanError,
     _relabelled,
+    _trusted_clan,
     apply_reflection,
     dimension,
     enumerate_clans,
     format_clan,
     is_closed,
-    is_sign,
     noncompact_reflections,
 )
 from ._parallel import ordered_map
@@ -57,50 +64,58 @@ class Move:
     result: Clan
 
 
-def moves(clan: Clan) -> list[Move]:
-    """Every single-move enlargement of the clan, in a deterministic order.
+def _move_results(clan: Clan) -> Iterator[tuple[str, int, int, tuple]]:
+    """(kind, i, j, result entries) of every move, in :func:`moves` order."""
+    entries = clan.entries
+    signs, opened, left, mates = [], [], [], {}
+    for pos, e in enumerate(entries, start=1):
+        if e == PLUS or e == MINUS:
+            signs.append(pos)
+            opened.append(len(left))
+        elif e > len(left):
+            left.append(pos)
+        else:
+            mates[left[e - 1]] = pos
+            mates[pos] = left[e - 1]
 
-    Dimensions are not checked here; :func:`build_poset` checks each move edge.
-
-    A result needs its pairs numbered but not validating: pair creation turns
-    a "+" and a "-" into one pair, a slide swaps a sign with a pair endpoint,
-    and an exchange swaps endpoints of two pairs.  Each keeps every number
-    occurring twice and keeps the signature (p, q).
-    """
-    entries, p, q = clan.entries, clan.p, clan.q
-    sign_positions = [i for i, e in enumerate(entries, start=1) if is_sign(e)]
-    mates = clan.mates()
-    out: list[Move] = []
-    fresh = clan.n + 1  # above any canonical pair number, so never collides
-
-    for i, j in combinations(sign_positions, 2):
-        if entries[i - 1] != entries[j - 1]:
-            new = list(entries)
-            new[i - 1] = fresh
-            new[j - 1] = fresh
-            out.append(Move(PAIR_CREATION, (i, j), _relabelled(new, p, q)))
-
-    for v in sorted(mates):
-        m = mates[v]
-        for u in sign_positions:
-            if (u > m) == (v > m) and abs(u - m) > abs(v - m):
+    for a, (i, k) in enumerate(zip(signs, opened)):
+        shifted = [e if e == PLUS or e == MINUS or e <= k else e + 1 for e in entries]
+        for j in signs[a + 1 :]:
+            if entries[i - 1] != entries[j - 1]:
+                new = shifted.copy()
+                new[i - 1] = new[j - 1] = k + 1
+                yield PAIR_CREATION, i, j, tuple(new)
+    pair_positions = sorted(mates)
+    for v in pair_positions:
+        right = v > mates[v]
+        for u in signs:
+            if (u > v) == right:  # farther from the mate, on the same side
                 new = list(entries)
                 new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-                out.append(Move(ENDPOINT_SLIDE, (min(u, v), max(u, v)), _relabelled(new, p, q)))
-
-    pair_positions = sorted(mates)
+                result = tuple(new) if right else _relabelled(new)
+                yield ENDPOINT_SLIDE, min(u, v), max(u, v), result
     for u, v in combinations(pair_positions, 2):
         if entries[u - 1] != entries[v - 1] and mates[u] < mates[v]:
             new = list(entries)
             new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-            out.append(Move(PAIR_EXCHANGE, (u, v), _relabelled(new, p, q)))
+            yield PAIR_EXCHANGE, u, v, _relabelled(new)
 
-    return out
+
+def moves(clan: Clan) -> list[Move]:
+    """Every single-move enlargement of the clan, in a deterministic order.
+
+    Dimensions are not checked here; :func:`build_poset` checks each move edge.
+    No result is validated: each move keeps every number occurring twice and
+    keeps the signature (p, q).  Only the results of left endpoint slides and
+    exchanges are renumbered; the module docstring says why.
+    """
+    p, q = clan.p, clan.q
+    return [Move(kind, (i, j), _trusted_clan(r, p, q)) for kind, i, j, r in _move_results(clan)]
 
 
 def successors(clan: Clan) -> set[Clan]:
-    """Distinct one-move enlargements of the clan."""
-    return {mv.result for mv in moves(clan)}
+    """Distinct one-move enlargements of the clan, each built as a ``Clan`` once."""
+    return {_trusted_clan(r, clan.p, clan.q) for r in {r for _, _, _, r in _move_results(clan)}}
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -148,13 +163,13 @@ class OrbitPoset:
             for j in succ[i]:
                 down[j] |= down[i]
 
-        # A successor j is a cover unless another successor of i lies below it.
+        # down[j] holds j, so a successor j is a cover iff no other successor is in it.
         covers: list[tuple[int, ...]] = []
         for i in range(size):
-            succ_mask = sum(1 << j for j in succ[i])
-            covers.append(
-                tuple(j for j in succ[i] if not down[j] & succ_mask & ~(1 << j))
-            )
+            succ_mask = 0
+            for j in succ[i]:
+                succ_mask |= 1 << j
+            covers.append(tuple(j for j in succ[i] if (down[j] & succ_mask).bit_count() == 1))
 
         self._down = down
         self.cover_indices = tuple(covers)
@@ -252,9 +267,9 @@ def build_poset(p: int, q: int, *, size_bound: int = 9, jobs: int = 1) -> OrbitP
     if p + q > size_bound:
         raise PosetSizeError(f"p+q={p + q} exceeds the size bound {size_bound}")
     elements = tuple(enumerate_clans(p, q))
-    index = {c: i for i, c in enumerate(elements)}
+    index = {c.entries: i for i, c in enumerate(elements)}
     succ_sets = ordered_map(successors, elements, jobs)
-    succ = tuple(tuple(sorted(index[s] for s in ss)) for ss in succ_sets)
+    succ = tuple(tuple(sorted(index[s.entries] for s in ss)) for ss in succ_sets)
     dims = tuple(dimension(c) for c in elements)
     for i, targets in enumerate(succ):
         for j in targets:

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clans import (
     ENDPOINT_SLIDE,
@@ -15,6 +16,7 @@ from clans import (
     NonIncreasingMoveError,
     PosetSizeError,
     build_poset,
+    canonicalize,
     dimension,
     enumerate_clans,
     export_dot,
@@ -33,6 +35,27 @@ import oracles
 
 def texts(clans):
     return sorted(format_clan(c) for c in clans)
+
+
+def assert_moves_match_naive_oracle(clan):
+    # move results are numbered, not validated; the oracle validates each
+    got = moves(clan)
+    naive = oracles.naive_moves(clan)
+    assert Counter((mv.kind, mv.positions, mv.result) for mv in got) == Counter(naive)
+    assert successors(clan) == {result for _, _, result in naive}
+    for mv in got:
+        assert mv.result == Clan(mv.result.entries, mv.result.p, mv.result.q)
+
+
+@st.composite
+def long_clans(draw):
+    """A canonical clan of length 8 to 12, with 0 to n/2 pairs placed at random."""
+    n = draw(st.integers(8, 12))
+    entries = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    for k in range(draw(st.integers(0, n // 2))):
+        entries[order[2 * k]] = entries[order[2 * k + 1]] = k + 1
+    return canonicalize(entries)
 
 
 class TestMoves:
@@ -75,25 +98,41 @@ class TestMoves:
                     for mv in moves(clan):
                         assert oracles.rank_dominates(clan, mv.result)
 
-    @staticmethod
-    def assert_moves_match_naive_oracle(n):
-        # move results are numbered, not validated; the oracle validates each
-        for p in range(n + 1):
-            for clan in enumerate_clans(p, n - p):
-                got = moves(clan)
-                naive = oracles.naive_moves(clan)
-                assert Counter((mv.kind, mv.positions, mv.result) for mv in got) == Counter(naive)
-                assert successors(clan) == {result for _, _, result in naive}
-                for mv in got:
-                    assert mv.result == Clan(mv.result.entries, mv.result.p, mv.result.q)
-
     @pytest.mark.parametrize("n", range(7))
     def test_moves_match_naive_oracle(self, n):
-        self.assert_moves_match_naive_oracle(n)
+        for p in range(n + 1):
+            for clan in enumerate_clans(p, n - p):
+                assert_moves_match_naive_oracle(clan)
 
     @pytest.mark.slow
     def test_moves_match_naive_oracle_n7(self):
-        self.assert_moves_match_naive_oracle(7)
+        for p in range(8):
+            for clan in enumerate_clans(p, 7 - p):
+                assert_moves_match_naive_oracle(clan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_clans())
+    def test_moves_match_naive_oracle_past_exhaustive_range(self, clan):
+        # creations shift the numbers of later pairs and right endpoint slides
+        # are plain swaps; both need clans with many pairs to be exercised
+        assert_moves_match_naive_oracle(clan)
+
+    @staticmethod
+    def move_counts(p, q):
+        elements = enumerate_clans(p, q)
+        kinds = Counter(mv.kind for clan in elements for mv in moves(clan))
+        return kinds, sum(len(successors(clan)) for clan in elements)
+
+    def test_move_counts_pinned_4_4(self):
+        kinds, distinct = self.move_counts(4, 4)
+        assert kinds == {PAIR_CREATION: 12040, ENDPOINT_SLIDE: 12320, PAIR_EXCHANGE: 8820}
+        assert sum(kinds.values()) == 33180 and distinct == 28770
+
+    def test_move_counts_pinned_5_4(self):
+        # the benchmark's poset54 counts: build_poset calls successors only
+        kinds, distinct = self.move_counts(5, 4)
+        assert kinds == {PAIR_CREATION: 47880, ENDPOINT_SLIDE: 56280, PAIR_EXCHANGE: 41580}
+        assert sum(kinds.values()) == 145740 and distinct == 124950
 
 
 class TestBuildPoset:
