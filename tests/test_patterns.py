@@ -1,5 +1,8 @@
 """Pattern containment, the seven-pattern classifier, and certificates."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -182,6 +185,44 @@ class TestCertificates:
     def test_verify_rejects_wrong_clan(self):
         cert = build_certificate(parse_clan("1,1,2,2", 2, 2))
         assert not verify_certificate(parse_clan("1,2,2,1", 2, 2), cert)
+
+
+def certificate_digest(lengths):
+    """(sound clans, sha256 over each clan's certificate or violation).
+
+    Clans are taken in enumeration order: by length, then p, then
+    ``enumerate_clans`` order.
+    """
+    digest = hashlib.sha256()
+    sound = 0
+    for n in lengths:
+        for p in range(n + 1):
+            for clan in enumerate_clans(p, n - p):
+                try:
+                    cert = build_certificate(clan)
+                except DecompositionError as exc:
+                    doc = repr(exc.violation)
+                else:
+                    doc = json.dumps(certificate_json(cert), sort_keys=True)
+                    sound += 1
+                digest.update(f"{format_clan(clan)} {doc}\n".encode())
+    return sound, digest.hexdigest()
+
+
+def test_certificates_pinned_up_to_7():
+    assert certificate_digest(range(1, 8)) == (
+        1424,
+        "2fbd48fe2a247cb837e9ca81b8a3b76b0035baabb68d0d898567a2e79f3e170f",
+    )
+
+
+@pytest.mark.slow
+def test_certificates_pinned_8():
+    # 4,054 sound clans with p+q <= 8 in all
+    assert certificate_digest([8]) == (
+        2630,
+        "99702dace03480c2cf2ff32ecf8c6c24af1357d3df112554a25f427143ef26a4",
+    )
 
 
 class TestClassify:
