@@ -10,9 +10,9 @@ meant to fiber smoothly.
 The decomposition alone is not a smoothness proof: (1,+,-,1) still peels to
 its closed interior (+,-) even though its closure is singular.  What carries
 the burden is a structural test (laminar pairs, constant signs inside a pair,
-signs nesting into inner pairs); certificates are built only behind that
-gate, and the equivalence of the gate with pattern avoidance is verified
-exhaustively by the test suite rather than assumed.
+signs nesting into inner pairs); behind that gate a certificate is built in
+one walk per node, and the equivalence of the gate with pattern avoidance is
+verified exhaustively by the test suite rather than assumed.
 
 Known caveat, pinned in the findings test module: clans including
 1,2,2,3,3,1 classify as smooth here although their closures fail the
@@ -218,47 +218,49 @@ def build_certificate(clan: Clan) -> Certificate:
     """Recursive smooth-fibration certificate for a structurally sound clan.
 
     Raises DecompositionError (carrying the violation) when the structural
-    check fails; once it passes, construction cannot fail.
+    check fails; once it passes, one walk per node builds it and cannot fail.
     """
     violation = structural_check(clan)
     if violation is not None:
         raise DecompositionError(violation)
-    return _decompose(clan, 1, clan.n)
+    return _decompose(clan)
 
 
-def _decompose(clan: Clan, s: int, e: int) -> Certificate:
-    entries = clan.entries
-    inside = [(a, b) for a, b in clan.pairs if s <= a and b <= e]
-    for a, b in clan.pairs:
-        if (s <= a <= e) != (s <= b <= e):
-            raise RuntimeError(
-                f"pair ({a},{b}) straddles decomposition range [{s},{e}] "
-                f"of {format_clan(clan)}"
-            )
-    signs = [k for k in range(s, e + 1) if is_sign(entries[k - 1])]
-    if not inside:
-        return ClosedLeaf(s, e)
-    free = [k for k in signs if not any(a < k < b for a, b in inside)]
-    if free:
-        k = free[0]
-        return SignDelete(s, e, k, _decompose(clan, s, k - 1), _decompose(clan, k + 1, e))
-    top = [
-        (a, b)
-        for a, b in inside
-        if not any(c < a and b < d for c, d in inside)
-    ]
-    top.sort()
-    tiles = top[0][0] == s and top[-1][1] == e and all(
-        top[i][1] + 1 == top[i + 1][0] for i in range(len(top) - 1)
-    )
-    if not tiles:
-        raise RuntimeError(
-            f"top-level pairs {top} do not tile [{s},{e}] of {format_clan(clan)}; "
-            "decomposition reached an impossible state"
-        )
-    if len(top) >= 2:
-        return BlockSplit(s, e, tuple(_decompose(clan, a, b) for a, b in top))
-    return OuterStrip(s, e, _decompose(clan, s + 1, e - 1))
+def _decompose(clan: Clan) -> Certificate:
+    """Certificate of a structurally sound clan, in one walk per node.
+
+    Each walk visits its range's depth-0 positions, jumping from a top-level
+    pair's left end to its mate + 1; it yields the first free sign and the
+    top-level pairs.
+    """
+    mates = clan.mates()
+
+    def node(s: int, e: int) -> Certificate:
+        free = 0  # first sign outside every pair of [s, e]
+        top = []
+        k = s
+        while k <= e:
+            mate = mates.get(k)
+            if mate is None:
+                free = free or k
+                k += 1
+            elif k < mate <= e:
+                top.append((k, mate))
+                k = mate + 1
+            else:
+                raise RuntimeError(
+                    f"pair ({min(k, mate)},{max(k, mate)}) straddles range [{s},{e}] "
+                    f"or a top-level pair in it, decomposing {format_clan(clan)}"
+                )
+        if not top:
+            return ClosedLeaf(s, e)
+        if free:
+            return SignDelete(s, e, free, node(s, free - 1), node(free + 1, e))
+        if len(top) >= 2:
+            return BlockSplit(s, e, tuple(node(a, b) for a, b in top))
+        return OuterStrip(s, e, node(s + 1, e - 1))
+
+    return node(1, clan.n)
 
 
 def verify_certificate(clan: Clan, cert: Certificate) -> bool:

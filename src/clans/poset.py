@@ -153,7 +153,7 @@ class OrbitPoset:
         self.elements = elements
         self.dims = dims
         self.succ = succ
-        self._index = {c: i for i, c in enumerate(elements)}
+        self._index = {c.entries: i for i, c in enumerate(elements)}
         size = len(elements)
 
         # Every move edge raises the dimension, so visiting elements by
@@ -181,7 +181,7 @@ class OrbitPoset:
 
     def index_of(self, clan: Clan) -> int:
         try:
-            return self._index[clan]
+            return self._index[clan.entries]
         except KeyError:
             raise ClanError(
                 f"clan {format_clan(clan)} is not an element of the ({self.p},{self.q}) poset"
@@ -223,7 +223,7 @@ class OrbitPoset:
             closed = {k: self.elements[k] for k in _bits(self._closed_mask)}
             self._reflections = {
                 k: tuple(
-                    ((a, b), self._index[apply_reflection(c, a, b)])
+                    ((a, b), self._index[apply_reflection(c, a, b).entries])
                     for a, b in noncompact_reflections(c)
                 )
                 for k, c in closed.items()

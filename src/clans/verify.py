@@ -25,13 +25,7 @@ from .core import (
     parse_clan,
     prefix_signature,
 )
-from .patterns import (
-    DecompositionError,
-    build_certificate,
-    includes_any,
-    structural_check,
-    verify_certificate,
-)
+from .patterns import _decompose, includes_any, structural_check, verify_certificate
 from .poset import build_poset
 from .springer import springer_diagnosis
 
@@ -70,13 +64,16 @@ ORDER_FACTS: dict[tuple[int, int], tuple[tuple[str, str, bool], ...]] = {
 
 
 def criteria_bits(clan: Clan) -> tuple[bool, bool, bool]:
-    """(avoids the seven patterns, passes structural check, certificate builds)."""
+    """(avoids the seven patterns, passes structural check, certificate builds).
+
+    >>> criteria_bits(parse_clan("1,+,-,1", 2, 2))
+    (False, False, False)
+    >>> criteria_bits(parse_clan("1,2,2,1", 2, 2))
+    (True, True, True)
+    """
     avoids = includes_any(clan) is None
     structural_ok = structural_check(clan) is None
-    try:
-        certificate_ok = verify_certificate(clan, build_certificate(clan))
-    except DecompositionError:
-        certificate_ok = False
+    certificate_ok = structural_ok and verify_certificate(clan, _decompose(clan))
     return avoids, structural_ok, certificate_ok
 
 

@@ -6,9 +6,10 @@ import clans.core
 import clans.patterns
 import clans.poset
 import clans.springer
+import clans.verify
 
 
 def test_module_doctests():
-    for module in (clans.core, clans.patterns, clans.poset, clans.springer):
+    for module in (clans.core, clans.patterns, clans.poset, clans.springer, clans.verify):
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__

@@ -30,6 +30,7 @@ from clans import (
 )
 
 import oracles
+from clans.patterns import _decompose
 
 
 def clans_up_to(max_n):
@@ -165,6 +166,11 @@ class TestCertificates:
         for clan in clans_up_to(6):
             if includes_any(clan) is None:
                 assert verify_certificate(clan, build_certificate(clan))
+
+    def test_straddle_guard(self):
+        # only reachable by skipping the structural gate
+        with pytest.raises(RuntimeError, match=r"pair \(2,4\) straddles range \[1,4\]"):
+            _decompose(parse_clan("1,2,1,2", 2, 2))
 
     def test_verify_rejects_single_child_block_split(self):
         clan = parse_clan("1,1", 1, 1)
@@ -340,3 +346,71 @@ def test_embedding_soundness_fuzz(pq, pick, pattern_index):
         assert all(a < b for a, b in zip(embedding, embedding[1:]))
         restricted = canonicalize(host.entries[i - 1] for i in embedding)
         assert restricted == pattern
+
+
+def _sound_interior(draw, m, signs=True):
+    """Tokens of a pair interior of length m that passes the structural check.
+
+    A run of one sign, one pair around a sound interior, or (m even) pairs
+    side by side whose interiors hold no sign; "(" and ")" stand for pair ends.
+    """
+    kinds = (["run"] if signs or not m else []) + (["wrap"] if m >= 2 else [])
+    kind = draw(st.sampled_from(kinds + (["side-by-side"] if m % 2 == 0 else [])))
+    if kind == "run":
+        return [draw(st.sampled_from("+-"))] * m
+    if kind == "wrap":
+        return ["(", *_sound_interior(draw, m - 2, signs), ")"]
+    tokens = []
+    while m:
+        inner = 2 * draw(st.integers(0, m // 2 - 1))
+        tokens += ["(", *_sound_interior(draw, inner, signs=False), ")"]
+        m -= inner + 2
+    return tokens
+
+
+@st.composite
+def long_clans(draw):
+    """(clan of length 10 to 16, whether it was built to be structurally sound).
+
+    Sound clans are free signs and pairs around sound interiors; the others
+    place 2 to n/2 pairs at random, as in test_poset.py.
+    """
+    n = draw(st.integers(10, 16))
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+        order = draw(st.permutations(range(n)))
+        for k in range(draw(st.integers(2, n // 2))):
+            entries[order[2 * k]] = entries[order[2 * k + 1]] = k + 1
+        return canonicalize(entries), False
+    tokens = []
+    while len(tokens) < n:
+        left = n - len(tokens)
+        if left == 1 or draw(st.booleans()):
+            tokens.append(draw(st.sampled_from("+-")))
+        else:
+            tokens += ["(", *_sound_interior(draw, draw(st.integers(0, left - 2))), ")"]
+    entries, stack = [], []
+    for token in tokens:
+        if token == "(":
+            stack.append(len(entries) + 1)
+            entries.append(stack[-1])
+        elif token == ")":
+            entries.append(stack.pop())
+        else:
+            entries.append(token)
+    return canonicalize(entries), True
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_clans())
+def test_certificate_iff_structural_past_exhaustive_range(drawn):
+    clan, built_sound = drawn
+    violation = structural_check(clan)
+    assert not (built_sound and violation)
+    try:
+        cert = build_certificate(clan)
+    except DecompositionError as exc:
+        assert violation is not None and exc.violation == violation
+    else:
+        assert violation is None
+        assert verify_certificate(clan, cert)

@@ -4,8 +4,8 @@ import hashlib
 
 import pytest
 
-from clans import OrbitPoset, parse_clan
-from clans import verify
+from clans import OrbitPoset, count_clans, parse_clan
+from clans import patterns, verify
 from clans.verify import report_lines, run_checks
 
 
@@ -76,6 +76,22 @@ def test_prefix_monotonicity_fails_on_a_bad_move_edge(monkeypatch):
     assert len(failing) == 1
     assert failing[0].startswith("FAIL prefix-monotonicity p=2 q=2")
     assert "-,1,+,1" in failing[0]
+
+
+def test_structural_check_runs_once_per_clan(monkeypatch):
+    calls = []
+    check = patterns.structural_check
+
+    def counted(clan):
+        calls.append(clan)
+        return check(clan)
+
+    # verify binds its own name; patch both so a call through build_certificate counts too
+    monkeypatch.setattr(patterns, "structural_check", counted)
+    monkeypatch.setattr(verify, "structural_check", counted)
+    run_checks(max_n=5)
+    expected = sum(count_clans(p, n - p) for n in range(1, 6) for p in range(n + 1))
+    assert len(calls) == len(set(calls)) == expected
 
 
 def test_golden_report_up_to_n7():
