@@ -1,5 +1,7 @@
 """Reflection counting on closed orbits."""
 
+import hashlib
+import json
 import operator
 
 import pytest
@@ -228,6 +230,45 @@ class TestDiagnosis:
 
     def test_comparison_is_strict(self):
         assert EXCEEDS_BUDGET is operator.gt
+
+
+def witness_digest(lengths):
+    """(failing clans, sha256 over each clan's diagnosis witness or ``pass``).
+
+    Clans are taken in enumeration order: by length, then p, then
+    ``enumerate_clans`` order.
+    """
+    digest = hashlib.sha256()
+    failing = 0
+    for n in lengths:
+        for p in range(n + 1):
+            poset = oracles.get_poset(p, n - p)
+            for clan in poset.elements:
+                witness = springer_diagnosis(poset, clan)
+                if witness is None:
+                    doc = "pass"
+                else:
+                    doc = json.dumps(witness_json(witness), sort_keys=True)
+                    failing += 1
+                digest.update(f"{format_clan(clan)} {doc}\n".encode())
+    return failing, digest.hexdigest()
+
+
+def test_witnesses_pinned_up_to_7():
+    # 2,555 clans with p+q <= 7
+    assert witness_digest(range(1, 8)) == (
+        1136,
+        "d16835b18d2b8aae9a618657f303e53e30fd00d1dfc82eda817daa3c2fee4e3f",
+    )
+
+
+@pytest.mark.slow
+def test_witnesses_pinned_8():
+    # 7,193 clans with p+q = 8
+    assert witness_digest([8]) == (
+        4581,
+        "09d63775a86d523c051f36f68621d2840f092a5c1bf0ef15f3ab2a5e84f937aa",
+    )
 
 
 class TestCollapse:
