@@ -23,6 +23,7 @@ slides and exchanges can, so only their results are renumbered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -131,12 +132,21 @@ class OrbitPoset:
     Elements sit in enumeration order; reachability is kept as one down-set
     bitmask per element, so :meth:`leq` is one bit test after the build and
     :meth:`upper_set` scans the down-sets.  The index-level accessors
-    (:meth:`down_mask`, :meth:`closed_below_indices`, :meth:`reflections`)
-    answer the same questions by element index without hashing clans.  The
-    table of noncompact reflections of the closed elements is built on first
-    use of :meth:`reflections`, once per poset.  Apart from that cache,
-    instances are immutable once constructed and safe to share; build with
-    :func:`build_poset`.
+    (:meth:`down_mask`, :meth:`closed_below_indices`, :meth:`reflections`,
+    :meth:`reflection_hits`, :meth:`reflection_count`) answer the same
+    questions by element index without hashing clans.  The last four read one
+    table, built on first use: the down-sets restricted to S, the closed
+    elements in token order then the one-pair clans, which is all that the
+    diagnosis asks about.  Apart from that table, instances are immutable once
+    constructed and safe to share; build with :func:`build_poset`.
+
+    >>> from clans.core import parse_clan
+    >>> poset = build_poset(2, 2)
+    >>> t = poset.index_of(parse_clan("1,+,-,1", 2, 2))
+    >>> [format_clan(poset.elements[c]) for c in poset.closed_below_indices(t)]
+    ['+,+,-,-', '+,-,+,-', '+,-,-,+', '-,+,+,-', '-,+,-,+']
+    >>> poset.reflection_hits(poset.index_of(parse_clan("+,+,-,-", 2, 2)), t)
+    ((1, 3), (1, 4), (2, 3), (2, 4))
     """
 
     def __init__(
@@ -173,8 +183,6 @@ class OrbitPoset:
 
         self._down = down
         self.cover_indices = tuple(covers)
-        self._closed_mask = sum(1 << i for i, c in enumerate(elements) if is_closed(c))
-        self._reflections: dict[int, tuple[tuple[tuple[int, int], int], ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -209,9 +217,10 @@ class OrbitPoset:
         """Bitmask of the element indices below-or-equal element i."""
         return self._down[i]
 
-    def closed_below_indices(self, i: int) -> list[int]:
+    def closed_below_indices(self, i: int) -> Iterator[int]:
         """Indices of the closed elements below element i, ascending (token order)."""
-        return list(_bits(self._down[i] & self._closed_mask))
+        order, down, closed, _ = self._diagnosis
+        return map(order.__getitem__, _bits(down[i] & closed))
 
     def reflections(self, i: int) -> tuple[tuple[tuple[int, int], int], ...]:
         """((a, b), image index) for each noncompact reflection of closed element i.
@@ -219,16 +228,39 @@ class OrbitPoset:
         Listed in the order of :func:`~clans.core.noncompact_reflections`;
         the image is :func:`~clans.core.apply_reflection` of the element.
         """
-        if self._reflections is None:
-            closed = {k: self.elements[k] for k in _bits(self._closed_mask)}
-            self._reflections = {
-                k: tuple(
-                    ((a, b), self._index[apply_reflection(c, a, b).entries])
-                    for a, b in noncompact_reflections(c)
-                )
-                for k, c in closed.items()
-            }
-        return self._reflections[i]
+        order, _, _, by_closed = self._diagnosis
+        return tuple((ab, order[s]) for ab, s in by_closed[i][0])
+
+    def reflection_hits(self, c: int, t: int) -> tuple[tuple[int, int], ...]:
+        """(a, b) of each reflection of closed element c whose image lies below element t."""
+        _, down, _, by_closed = self._diagnosis
+        below = down[t]
+        return tuple([ab for ab, s in by_closed[c][0] if below >> s & 1])
+
+    def reflection_count(self, c: int, t: int) -> int:
+        """How many reflection images of closed element c lie below element t."""
+        _, down, _, by_closed = self._diagnosis
+        return (down[t] & by_closed[c][1]).bit_count()
+
+    @cached_property
+    def _diagnosis(self) -> tuple:
+        """(S order, S-masked down-sets, closed S-mask, per closed index its
+        reflections as ((a, b), image S position) and the images' S-mask)."""
+        elements = self.elements
+        closed = [k for k, c in enumerate(elements) if is_closed(c)]
+        one_pair = [k for k, c in enumerate(elements) if 1 in c.entries and 2 not in c.entries]
+        order = closed + one_pair
+        position = {k: s for s, k in enumerate(order)}
+        down = [1 << position[k] if k in position else 0 for k in range(len(elements))]
+        for i in sorted(range(len(elements)), key=self.dims.__getitem__):
+            for j in self.succ[i]:
+                down[j] |= down[i]
+        by_closed = {}
+        for k in closed:
+            refl = noncompact_reflections(elements[k])
+            spots = [position[self.index_of(apply_reflection(elements[k], *ab))] for ab in refl]
+            by_closed[k] = (tuple(zip(refl, spots)), sum(1 << s for s in spots))
+        return order, down, (1 << len(closed)) - 1, by_closed
 
     def hasse_covers(self) -> list[tuple[Clan, Clan]]:
         """Transitive-reduction edges (lower, upper), by element index."""

@@ -50,20 +50,26 @@ class ReflectionWitness:
 
 
 def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionWitness:
-    """Count the reflections sending the closed orbit below the target."""
+    """Count the reflections sending the closed orbit below the target.
+
+    Raises ClanError unless ``closed`` is closed and lies below the target.
+
+    >>> from clans import build_poset, parse_clan
+    >>> closed, target = parse_clan("+,+,-,-", 2, 2), parse_clan("1,+,-,1", 2, 2)
+    >>> w = springer_count(build_poset(2, 2), closed, target)
+    >>> w.budget, w.count, w.hits
+    (3, 4, ((1, 3), (1, 4), (2, 3), (2, 4)))
+    """
     if not is_closed(closed):
         raise ClanError(f"clan {format_clan(closed)} is not closed")
     c = poset.index_of(closed)
     t = poset.index_of(target)
-    below = poset.down_mask(t)
-    if not below >> c & 1:
+    if not poset.down_mask(t) >> c & 1:
         raise ClanError(
             f"closed clan {format_clan(closed)} does not lie below {format_clan(target)}"
         )
     budget = poset.dims[t] - base_dimension(poset.p, poset.q)
-    hits = tuple(
-        [positions for positions, image in poset.reflections(c) if below >> image & 1]
-    )
+    hits = poset.reflection_hits(c, t)
     return ReflectionWitness(closed, target, budget, len(hits), hits)
 
 

@@ -179,7 +179,58 @@ class TestDegenerationFamilies:
         assert oracles.rank_dominates(low, source)
 
 
+def kronecker_code(poly):
+    """The polynomial's value at q = 2^64, one integer per point count."""
+    return sum(coefficient << (64 * i) for i, coefficient in enumerate(poly))
+
+
+def balanced_digits(code):
+    """Inverse of :func:`kronecker_code`: coefficients in (-2^63, 2^63]."""
+    digits = []
+    while code:
+        digit = code & (1 << 64) - 1
+        if digit > 1 << 63:
+            digit -= 1 << 64
+        digits.append(digit)
+        code = (code - digit) >> 64
+    return digits or [0]
+
+
+def referee_counts(n):
+    """(targets, failing) over length n, asserting for each target that its
+    lower set's point count is palindromic iff the diagnosis passes."""
+    targets = failing = 0
+    for p in range(n + 1):
+        poset = oracles.get_poset(p, n - p)
+        codes = [kronecker_code(oracles.orbit_point_count(c)) for c in poset.elements]
+        for t, target in enumerate(poset.elements):
+            below = bin(poset.down_mask(t))[:1:-1]
+            total = sum(code for code, bit in zip(codes, below) if bit == "1")
+            passes = springer_diagnosis(poset, target) is None
+            assert oracles.is_palindromic(balanced_digits(total)) == passes, format_clan(target)
+            targets += 1
+            failing += not passes
+    return targets, failing
+
+
 class TestPointCountReferee:
+    """Palindromic F_q point counts are necessary for rational smoothness,
+    not sufficient, so agreement with the diagnosis is an empirical fact."""
+
+    def test_balanced_digits_invert_kronecker_code(self):
+        for poly in ([0], [1], [-1], [0, 0, 1], [3, -5, 0, 7], [-(1 << 62), 1 << 62, -2]):
+            assert balanced_digits(kronecker_code(poly)) == oracles.poly_trim(poly)
+
+    def test_palindromicity_tracks_the_diagnosis_up_to_7(self):
+        # 2,555 targets, 1,136 failing the diagnosis
+        assert [referee_counts(n) for n in range(1, 8)] == [
+            (2, 0), (5, 0), (14, 0), (43, 3), (142, 28), (499, 175), (1850, 930),
+        ]
+
+    @pytest.mark.slow
+    def test_palindromicity_tracks_the_diagnosis_8(self):
+        assert referee_counts(8) == (7193, 4581)
+
     def test_count_formula_matches_flag_variety_totals(self):
         for p, q in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]:
             total = [0]

@@ -116,15 +116,20 @@ class TestSpringerCount:
         assert (witness.count, witness.budget) == (0, 0)
         assert witness.hits == ()
 
-    def test_requires_closed_below(self):
+    def test_requires_closed(self):
         poset = oracles.get_poset(2, 2)
-        with pytest.raises(ClanError):
-            springer_count(
-                poset, parse_clan("-,-,+,+", 2, 2), parse_clan("1,+,-,1", 2, 2)
-            )
-        with pytest.raises(ClanError):
+        with pytest.raises(ClanError, match=r"^clan 1,1,\+,- is not closed$"):
             springer_count(
                 poset, parse_clan("1,1,+,-", 2, 2), parse_clan("1,+,-,1", 2, 2)
+            )
+
+    def test_requires_closed_below(self):
+        poset = oracles.get_poset(2, 2)
+        with pytest.raises(
+            ClanError, match=r"^closed clan -,-,\+,\+ does not lie below 1,\+,-,1$"
+        ):
+            springer_count(
+                poset, parse_clan("-,-,+,+", 2, 2), parse_clan("1,+,-,1", 2, 2)
             )
 
     def test_json(self):
@@ -200,6 +205,33 @@ class TestIndexKernelAgainstOracle:
             assert after == before
             assert [springer_diagnosis(first, c) for c in first.elements] == before
             assert any(w is not None for w in before)
+
+
+class TestDiagnosisTable:
+    """The diagnosis accessors read down-sets restricted to the closed and
+    one-pair elements; they must answer as the full down-sets do."""
+
+    def test_table_matches_full_down_sets_up_to_7(self):
+        for n in range(1, 8):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                elements = poset.elements
+                closed = [i for i, c in enumerate(elements) if is_closed(c)]
+                for c in closed:
+                    assert poset.reflections(c) == tuple(
+                        (ab, poset.index_of(apply_reflection(elements[c], *ab)))
+                        for ab in noncompact_reflections(elements[c])
+                    )
+                for t in range(len(poset)):
+                    below = poset.down_mask(t)
+                    expected = [c for c in closed if below >> c & 1]
+                    assert list(poset.closed_below_indices(t)) == expected
+                    for c in expected:
+                        hits = tuple(
+                            ab for ab, img in poset.reflections(c) if below >> img & 1
+                        )
+                        assert poset.reflection_hits(c, t) == hits
+                        assert poset.reflection_count(c, t) == len(hits)
 
 
 class TestDiagnosis:
