@@ -22,10 +22,11 @@ slides and exchanges can, so only their results are renumbered.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .core import (
     MINUS,
@@ -34,12 +35,10 @@ from .core import (
     ClanError,
     _relabelled,
     _trusted_clan,
-    apply_reflection,
     dimension,
     enumerate_clans,
     format_clan,
     is_closed,
-    noncompact_reflections,
 )
 from ._parallel import ordered_map
 
@@ -126,19 +125,34 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _ClosedTable(dict):
+    """Entries keyed by closed element index; any other index is not closed."""
+
+    def __init__(self, elements: tuple[Clan, ...]) -> None:
+        super().__init__()
+        self.elements = elements
+
+    def __missing__(self, i: int) -> NoReturn:
+        raise ClanError(f"clan {format_clan(self.elements[i])} is not closed")
+
+
 class OrbitPoset:
     """All clans of signature (p, q) under the move-generated closure order.
 
     Elements sit in enumeration order; reachability is kept as one down-set
     bitmask per element, so :meth:`leq` is one bit test after the build and
     :meth:`upper_set` scans the down-sets.  The index-level accessors
-    (:meth:`down_mask`, :meth:`closed_below_indices`, :meth:`reflections`,
-    :meth:`reflection_hits`, :meth:`reflection_count`) answer the same
-    questions by element index without hashing clans.  The last four read one
-    table, built on first use: the down-sets restricted to S, the closed
-    elements in token order then the one-pair clans, which is all that the
-    diagnosis asks about.  Apart from that table, instances are immutable once
-    constructed and safe to share; build with :func:`build_poset`.
+    (:meth:`down_mask`, :meth:`closed_below_indices`, :meth:`closed_leq`,
+    :meth:`reflections`, :meth:`reflection_hits`, :meth:`reflection_count`)
+    answer the same questions by element index without hashing clans.  All
+    but the first read one table, built on first use, which is all that the
+    diagnosis asks about.  S is the closed elements in token order, then the
+    one-pair clans in token order.  The table holds each element's down-set
+    restricted to S, the (a, b) of each one-pair clan, and for each closed
+    element its own S bit and the S-mask of its reflection images; an index
+    that is not closed raises :class:`~clans.core.ClanError`.  Apart from that
+    table, instances are immutable once constructed and safe to share; build
+    with :func:`build_poset`.
 
     >>> from clans.core import parse_clan
     >>> poset = build_poset(2, 2)
@@ -168,8 +182,11 @@ class OrbitPoset:
 
         # Every move edge raises the dimension, so visiting elements by
         # ascending dimension finishes each down-set before it is pushed on.
+        # The order is kept for the diagnosis table, in an array: as a list
+        # it would hold an int object per element (0.3 MB at (5,4)).
+        self._ascending = array("I", sorted(range(size), key=dims.__getitem__))
         down = [1 << i for i in range(size)]
-        for i in sorted(range(size), key=dims.__getitem__):
+        for i in self._ascending:
             for j in succ[i]:
                 down[j] |= down[i]
 
@@ -219,8 +236,13 @@ class OrbitPoset:
 
     def closed_below_indices(self, i: int) -> Iterator[int]:
         """Indices of the closed elements below element i, ascending (token order)."""
-        order, down, closed, _ = self._diagnosis
+        order, down, closed, _, _ = self._diagnosis
         return map(order.__getitem__, _bits(down[i] & closed))
+
+    def closed_leq(self, c: int, t: int) -> bool:
+        """Does closed element c lie below element t?"""
+        _, down, _, _, images = self._diagnosis
+        return bool(down[t] & images[c][0])
 
     def reflections(self, i: int) -> tuple[tuple[tuple[int, int], int], ...]:
         """((a, b), image index) for each noncompact reflection of closed element i.
@@ -228,39 +250,66 @@ class OrbitPoset:
         Listed in the order of :func:`~clans.core.noncompact_reflections`;
         the image is :func:`~clans.core.apply_reflection` of the element.
         """
-        order, _, _, by_closed = self._diagnosis
-        return tuple((ab, order[s]) for ab, s in by_closed[i][0])
+        order, _, _, pairs, images = self._diagnosis
+        spots = sorted(_bits(images[i][1]), reverse=True)
+        return tuple((pairs[s], order[s]) for s in spots)
 
     def reflection_hits(self, c: int, t: int) -> tuple[tuple[int, int], ...]:
         """(a, b) of each reflection of closed element c whose image lies below element t."""
-        _, down, _, by_closed = self._diagnosis
-        below = down[t]
-        return tuple([ab for ab, s in by_closed[c][0] if below >> s & 1])
+        _, down, _, pairs, images = self._diagnosis
+        mask = down[t] & images[c][1]
+        hits = []
+        while mask:  # from the highest S position down: see _diagnosis
+            s = mask.bit_length() - 1
+            hits.append(pairs[s])
+            mask ^= 1 << s
+        return tuple(hits)
 
     def reflection_count(self, c: int, t: int) -> int:
         """How many reflection images of closed element c lie below element t."""
-        _, down, _, by_closed = self._diagnosis
-        return (down[t] & by_closed[c][1]).bit_count()
+        _, down, _, _, images = self._diagnosis
+        return (down[t] & images[c][1]).bit_count()
 
     @cached_property
     def _diagnosis(self) -> tuple:
-        """(S order, S-masked down-sets, closed S-mask, per closed index its
-        reflections as ((a, b), image S position) and the images' S-mask)."""
-        elements = self.elements
-        closed = [k for k, c in enumerate(elements) if is_closed(c)]
+        """(S order, S-masked down-sets, closed S-mask, (a, b) per one-pair S
+        position, per closed index its own S bit and its images' S-mask).
+
+        Closedness and the single pair are read from the canonical numbering.
+        Each image is the closed entries with 1 at a and b, already canonical.
+
+        The images of a closed clan strictly decrease in token order along
+        :func:`~clans.core.noncompact_reflections`, which lists (a, b) in
+        lexicographic order.  Take (a, b) < (a', b').  If a < a', the two
+        images agree before a, and at a the first holds 1 while the second
+        keeps its sign, as a < a' < b'.  If a = a' and b < b', they agree
+        before b, and at b the first holds 1 while the second keeps its sign.
+        Either way, at the first position where they differ, the earlier
+        reflection's image holds 1 against a sign, and 1 comes after both
+        signs.  One-pair clans take S positions in token order, so reading
+        an image mask from its highest bit down lists the reflections in
+        :func:`~clans.core.noncompact_reflections` order.
+        """
+        elements, index = self.elements, self._index
+        closed = [k for k, c in enumerate(elements) if 1 not in c.entries]
         one_pair = [k for k, c in enumerate(elements) if 1 in c.entries and 2 not in c.entries]
         order = closed + one_pair
         position = {k: s for s, k in enumerate(order)}
         down = [1 << position[k] if k in position else 0 for k in range(len(elements))]
-        for i in sorted(range(len(elements)), key=self.dims.__getitem__):
+        for i in self._ascending:
             for j in self.succ[i]:
                 down[j] |= down[i]
-        by_closed = {}
-        for k in closed:
-            refl = noncompact_reflections(elements[k])
-            spots = [position[self.index_of(apply_reflection(elements[k], *ab))] for ab in refl]
-            by_closed[k] = (tuple(zip(refl, spots)), sum(1 << s for s in spots))
-        return order, down, (1 << len(closed)) - 1, by_closed
+        pairs = [None] * len(closed) + [elements[k].pairs[0] for k in one_pair]
+        images = _ClosedTable(elements)
+        for s, k in enumerate(closed):
+            entries, mask = elements[k].entries, 0
+            for a, b in combinations(range(self.n), 2):
+                if entries[a] != entries[b]:
+                    image = list(entries)
+                    image[a] = image[b] = 1
+                    mask |= 1 << position[index[tuple(image)]]
+            images[k] = (1 << s, mask)
+        return order, down, (1 << len(closed)) - 1, pairs, images
 
     def hasse_covers(self) -> list[tuple[Clan, Clan]]:
         """Transitive-reduction edges (lower, upper), by element index."""

@@ -64,7 +64,7 @@ def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionW
         raise ClanError(f"clan {format_clan(closed)} is not closed")
     c = poset.index_of(closed)
     t = poset.index_of(target)
-    if not poset.down_mask(t) >> c & 1:
+    if not poset.closed_leq(c, t):
         raise ClanError(
             f"closed clan {format_clan(closed)} does not lie below {format_clan(target)}"
         )

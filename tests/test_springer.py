@@ -132,6 +132,29 @@ class TestSpringerCount:
                 poset, parse_clan("-,-,+,+", 2, 2), parse_clan("1,+,-,1", 2, 2)
             )
 
+    def test_below_check_matches_full_down_sets_up_to_n5(self):
+        # springer_count tests "below" on the down-sets restricted to closed
+        # and one-pair clans; it must refuse exactly the pairs the full
+        # down-sets put apart
+        for n in range(1, 6):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                elements = poset.elements
+                closed = [c for c, clan in enumerate(elements) if is_closed(clan)]
+                for t, target in enumerate(elements):
+                    below = poset.down_mask(t)
+                    for c in closed:
+                        message = (
+                            f"closed clan {format_clan(elements[c])} "
+                            f"does not lie below {format_clan(target)}"
+                        )
+                        if below >> c & 1:
+                            springer_count(poset, elements[c], target)
+                        else:
+                            with pytest.raises(ClanError) as info:
+                                springer_count(poset, elements[c], target)
+                            assert str(info.value) == message
+
     def test_json(self):
         poset = oracles.get_poset(2, 2)
         witness = springer_count(
@@ -232,6 +255,34 @@ class TestDiagnosisTable:
                         )
                         assert poset.reflection_hits(c, t) == hits
                         assert poset.reflection_count(c, t) == len(hits)
+
+    def test_images_decrease_along_noncompact_reflections_up_to_7(self):
+        # reflection_hits lists hits from the highest S position down, which
+        # is noncompact_reflections order only if the images' indices fall
+        for n in range(1, 8):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                for clan in poset.elements:
+                    if is_closed(clan):
+                        images = [
+                            poset.index_of(apply_reflection(clan, *ab))
+                            for ab in noncompact_reflections(clan)
+                        ]
+                        assert all(x > y for x, y in zip(images, images[1:]))
+
+    def test_accessors_refuse_a_non_closed_index(self):
+        poset = oracles.get_poset(2, 2)
+        i = poset.index_of(parse_clan("1,+,-,1", 2, 2))
+        t = len(poset) - 1
+        calls = (
+            lambda: poset.reflections(i),
+            lambda: poset.reflection_hits(i, t),
+            lambda: poset.reflection_count(i, t),
+            lambda: poset.closed_leq(i, t),
+        )
+        for call in calls:
+            with pytest.raises(ClanError, match=r"^clan 1,\+,-,1 is not closed$"):
+                call()
 
 
 class TestDiagnosis:
