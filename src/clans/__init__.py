@@ -8,136 +8,19 @@ avoidance, and cross-checks the verdicts with a structural certificate and
 with reflection counting on closed orbits.
 """
 
-from .core import (
-    MINUS,
-    PLUS,
-    Clan,
-    ClanError,
-    Entry,
-    SignaturePrefix,
-    apply_reflection,
-    base_dimension,
-    canonicalize,
-    count_clans,
-    dimension,
-    enumerate_clans,
-    format_clan,
-    is_closed,
-    is_sign,
-    noncompact_reflections,
-    open_clan,
-    pair_map,
-    parse_clan,
-    prefix_signature,
-    token_sort_key,
-)
-from .poset import (
-    ENDPOINT_SLIDE,
-    PAIR_CREATION,
-    PAIR_EXCHANGE,
-    Move,
-    NonIncreasingMoveError,
-    OrbitPoset,
-    PosetSizeError,
-    build_poset,
-    export_dot,
-    export_tsv,
-    moves,
-    successors,
-)
-from .patterns import (
-    FORBIDDEN_PATTERNS,
-    BlockSplit,
-    Certificate,
-    ClosedLeaf,
-    DecompositionError,
-    OuterStrip,
-    SignDelete,
-    SmoothnessVerdict,
-    StructuralViolation,
-    build_certificate,
-    certificate_json,
-    classify,
-    find_embedding,
-    includes_any,
-    is_rationally_smooth,
-    structural_check,
-    verdict_json,
-    verify_certificate,
-)
-from .springer import (
-    EXCEEDS_BUDGET,
-    ReflectionWitness,
-    collapse_to_closed,
-    springer_count,
-    springer_diagnosis,
-    witness_json,
-)
-from .verify import BudgetStatistic, CheckResult, report_lines, run_checks
+from .core import *
+from .poset import *
+from .patterns import *
+from .springer import *
+from .verify import *
+from . import core, patterns, poset, springer, verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PLUS",
-    "MINUS",
-    "Entry",
-    "Clan",
-    "ClanError",
-    "SignaturePrefix",
-    "base_dimension",
-    "canonicalize",
-    "count_clans",
-    "dimension",
-    "enumerate_clans",
-    "format_clan",
-    "is_closed",
-    "is_sign",
-    "open_clan",
-    "pair_map",
-    "parse_clan",
-    "prefix_signature",
-    "token_sort_key",
-    "Move",
-    "OrbitPoset",
-    "NonIncreasingMoveError",
-    "PosetSizeError",
-    "PAIR_CREATION",
-    "ENDPOINT_SLIDE",
-    "PAIR_EXCHANGE",
-    "build_poset",
-    "export_dot",
-    "export_tsv",
-    "moves",
-    "successors",
-    "FORBIDDEN_PATTERNS",
-    "Certificate",
-    "ClosedLeaf",
-    "SignDelete",
-    "BlockSplit",
-    "OuterStrip",
-    "DecompositionError",
-    "SmoothnessVerdict",
-    "StructuralViolation",
-    "build_certificate",
-    "certificate_json",
-    "classify",
-    "find_embedding",
-    "includes_any",
-    "is_rationally_smooth",
-    "structural_check",
-    "verdict_json",
-    "verify_certificate",
-    "EXCEEDS_BUDGET",
-    "ReflectionWitness",
-    "apply_reflection",
-    "collapse_to_closed",
-    "noncompact_reflections",
-    "springer_count",
-    "springer_diagnosis",
-    "witness_json",
-    "BudgetStatistic",
-    "CheckResult",
-    "report_lines",
-    "run_checks",
-    "__version__",
-]
+# Each module lists its public names once, in its own __all__.
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += poset.__all__
+__all__ += patterns.__all__
+__all__ += springer.__all__
+__all__ += verify.__all__

@@ -19,6 +19,30 @@ True
 
 from __future__ import annotations
 
+__all__ = [
+    "PLUS",
+    "MINUS",
+    "Entry",
+    "Clan",
+    "ClanError",
+    "SignaturePrefix",
+    "apply_reflection",
+    "base_dimension",
+    "canonicalize",
+    "count_clans",
+    "dimension",
+    "enumerate_clans",
+    "format_clan",
+    "is_closed",
+    "is_sign",
+    "noncompact_reflections",
+    "open_clan",
+    "pair_map",
+    "parse_clan",
+    "prefix_signature",
+    "token_sort_key",
+]
+
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -349,9 +373,12 @@ def prefix_signature(clan: Clan) -> SignaturePrefix:
 
 
 def is_closed(clan: Clan) -> bool:
-    """True when the clan is all signs, i.e. the orbit is closed."""
-    entries = clan.entries
-    return entries.count(PLUS) + entries.count(MINUS) == len(entries)
+    """True when the clan is all signs, i.e. the orbit is closed.
+
+    A clan is canonical, so its pairs are numbered 1, 2, ... by first
+    occurrence: it has a pair iff it holds a 1.
+    """
+    return 1 not in clan.entries
 
 
 def noncompact_reflections(closed: Clan) -> list[tuple[int, int]]:

@@ -22,6 +22,27 @@ avoidance list would need that clan as an eighth pattern.
 
 from __future__ import annotations
 
+__all__ = [
+    "FORBIDDEN_PATTERNS",
+    "BlockSplit",
+    "Certificate",
+    "ClosedLeaf",
+    "DecompositionError",
+    "OuterStrip",
+    "SignDelete",
+    "SmoothnessVerdict",
+    "StructuralViolation",
+    "build_certificate",
+    "certificate_json",
+    "classify",
+    "find_embedding",
+    "includes_any",
+    "is_rationally_smooth",
+    "structural_check",
+    "verdict_json",
+    "verify_certificate",
+]
+
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 

@@ -22,6 +22,21 @@ slides and exchanges can, so only their results are renumbered.
 
 from __future__ import annotations
 
+__all__ = [
+    "PAIR_CREATION",
+    "ENDPOINT_SLIDE",
+    "PAIR_EXCHANGE",
+    "Move",
+    "NonIncreasingMoveError",
+    "OrbitPoset",
+    "PosetSizeError",
+    "build_poset",
+    "export_dot",
+    "export_tsv",
+    "moves",
+    "successors",
+]
+
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +60,11 @@ from ._parallel import ordered_map
 PAIR_CREATION = "pair-creation"
 ENDPOINT_SLIDE = "endpoint-slide"
 PAIR_EXCHANGE = "pair-exchange"
+
+#: Largest p + q that :func:`build_poset` accepts.  Clan counts grow
+#: super-exponentially with n (9,891 at (5,4), 45,297 at (5,5)), and the
+#: down-set bitmasks are quadratic in the clan count.
+POSET_MAX_N = 9
 
 
 class NonIncreasingMoveError(RuntimeError):
@@ -147,12 +167,15 @@ class OrbitPoset:
     answer the same questions by element index without hashing clans.  All
     but the first read one table, built on first use, which is all that the
     diagnosis asks about.  S is the closed elements in token order, then the
-    one-pair clans in token order.  The table holds each element's down-set
-    restricted to S, the (a, b) of each one-pair clan, and for each closed
-    element its own S bit and the S-mask of its reflection images; an index
-    that is not closed raises :class:`~clans.core.ClanError`.  Apart from that
-    table, instances are immutable once constructed and safe to share; build
-    with :func:`build_poset`.
+    one-pair clans in token order; closedness is
+    :func:`~clans.core.is_closed`, the package's one test of it.  The table
+    holds each element's down-set restricted to S, the (a, b) of each
+    one-pair clan, and for each closed element its own S bit and the S-mask
+    of its reflection images.  The table is also what rejects a clan that is
+    not closed: an index missing from it raises
+    :class:`~clans.core.ClanError`.  Apart from that table, instances are
+    immutable once constructed and safe to share; build with
+    :func:`build_poset`.
 
     >>> from clans.core import parse_clan
     >>> poset = build_poset(2, 2)
@@ -275,8 +298,10 @@ class OrbitPoset:
         """(S order, S-masked down-sets, closed S-mask, (a, b) per one-pair S
         position, per closed index its own S bit and its images' S-mask).
 
-        Closedness and the single pair are read from the canonical numbering.
-        Each image is the closed entries with 1 at a and b, already canonical.
+        One pass over the elements sorts out S: :func:`~clans.core.is_closed`
+        picks the closed ones, and a clan that is not closed has one pair iff
+        it holds no 2, by the canonical numbering.  Each image is the closed
+        entries with 1 at a and b, already canonical.
 
         The images of a closed clan strictly decrease in token order along
         :func:`~clans.core.noncompact_reflections`, which lists (a, b) in
@@ -291,8 +316,12 @@ class OrbitPoset:
         :func:`~clans.core.noncompact_reflections` order.
         """
         elements, index = self.elements, self._index
-        closed = [k for k, c in enumerate(elements) if 1 not in c.entries]
-        one_pair = [k for k, c in enumerate(elements) if 1 in c.entries and 2 not in c.entries]
+        closed, one_pair = [], []
+        for k, c in enumerate(elements):
+            if is_closed(c):
+                closed.append(k)
+            elif 2 not in c.entries:
+                one_pair.append(k)
         order = closed + one_pair
         position = {k: s for s, k in enumerate(order)}
         down = [1 << position[k] if k in position else 0 for k in range(len(elements))]
@@ -337,16 +366,15 @@ class OrbitPoset:
         ]
 
 
-def build_poset(p: int, q: int, *, size_bound: int = 9, jobs: int = 1) -> OrbitPoset:
+def build_poset(p: int, q: int, *, jobs: int = 1) -> OrbitPoset:
     """Enumerate the clans of signature (p, q) and close the move relation.
 
-    Clan counts grow super-exponentially with n = p + q, and reachability
-    bitmasks are quadratic in them, so n is capped (default 9).  Successor
-    generation may fan out over `jobs` workers; the merge is ordered, so the
-    result is identical for any worker count.
+    Refuses p + q above :data:`POSET_MAX_N`.  Successor generation may fan
+    out over `jobs` workers; the merge is ordered, so the result is identical
+    for any worker count.
     """
-    if p + q > size_bound:
-        raise PosetSizeError(f"p+q={p + q} exceeds the size bound {size_bound}")
+    if p + q > POSET_MAX_N:
+        raise PosetSizeError(f"p+q={p + q} exceeds the size bound {POSET_MAX_N}")
     elements = tuple(enumerate_clans(p, q))
     index = {c.entries: i for i, c in enumerate(elements)}
     succ_sets = ordered_map(successors, elements, jobs)

@@ -17,6 +17,15 @@ scores 4; the sweep is what makes the test match pattern avoidance.
 
 from __future__ import annotations
 
+__all__ = [
+    "EXCEEDS_BUDGET",
+    "ReflectionWitness",
+    "collapse_to_closed",
+    "springer_count",
+    "springer_diagnosis",
+    "witness_json",
+]
+
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,7 +38,6 @@ from .core import (
     base_dimension,
     canonicalize,
     format_clan,
-    is_closed,
 )
 from .poset import OrbitPoset
 
@@ -52,7 +60,9 @@ class ReflectionWitness:
 def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionWitness:
     """Count the reflections sending the closed orbit below the target.
 
-    Raises ClanError unless ``closed`` is closed and lies below the target.
+    Raises ClanError unless both clans are elements of the poset and
+    ``closed`` is closed and lies below the target.  Closedness is checked
+    once, by the diagnosis table behind :meth:`OrbitPoset.closed_leq`.
 
     >>> from clans import build_poset, parse_clan
     >>> closed, target = parse_clan("+,+,-,-", 2, 2), parse_clan("1,+,-,1", 2, 2)
@@ -60,8 +70,6 @@ def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionW
     >>> w.budget, w.count, w.hits
     (3, 4, ((1, 3), (1, 4), (2, 3), (2, 4)))
     """
-    if not is_closed(closed):
-        raise ClanError(f"clan {format_clan(closed)} is not closed")
     c = poset.index_of(closed)
     t = poset.index_of(target)
     if not poset.closed_leq(c, t):
@@ -101,8 +109,13 @@ def collapse_to_closed(
     only: the result need not exceed its budget even for singular targets.
     """
     embedding = tuple(embedding)
-    sub = canonicalize(clan.entries[i - 1] for i in embedding)
-    if sub != pattern:
+    # 1 <= e_1 < ... < e_m <= n, checked before any position is read
+    in_order = all(map(operator.lt, (0,) + embedding, embedding + (clan.n + 1,)))
+    if (
+        len(embedding) != pattern.n
+        or not in_order
+        or canonicalize(clan.entries[i - 1] for i in embedding) != pattern
+    ):
         raise ClanError("the given positions do not embed the pattern in the clan")
     pattern_mates = pattern.mates()
     collapsed = sorted(embedding[slot - 1] for slot in pattern_mates)

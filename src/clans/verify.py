@@ -10,6 +10,13 @@ report, never something to patch over.
 
 from __future__ import annotations
 
+__all__ = [
+    "BudgetStatistic",
+    "CheckResult",
+    "report_lines",
+    "run_checks",
+]
+
 import operator
 from dataclasses import dataclass
 from math import comb
@@ -94,13 +101,14 @@ def _signature_checks(
     n = p + q
     out: list[CheckResult] = []
     poset = build_poset(p, q, jobs=jobs)
-    elements = poset.elements
+    elements, dims = poset.elements, poset.dims
+    closed_flags = list(map(is_closed, elements))
 
     expected = count_clans(p, q)
-    closed_count = sum(1 for c in elements if is_closed(c))
+    closed_count = sum(closed_flags)
     count_ok = (
         len(elements) == expected
-        and len(set(elements)) == expected
+        and len({c.entries for c in elements}) == expected
         and closed_count == comb(n, p)
     )
     out.append(
@@ -113,10 +121,10 @@ def _signature_checks(
     full = n * (n - 1) // 2
     top = open_clan(p, q)
     bad = ""
-    for c, d in zip(elements, poset.dims):
+    for c, d, closed in zip(elements, dims, closed_flags):
         if not base <= d <= full:
             bad = f"{format_clan(c)} has dimension {d} outside [{base},{full}]"
-        elif (d == base) != is_closed(c):
+        elif (d == base) != closed:
             bad = f"{format_clan(c)}: dimension {d} vs closedness mismatch"
         elif (d == full) != (c == top):
             bad = f"{format_clan(c)}: dimension {d} vs open clan mismatch"
@@ -132,18 +140,42 @@ def _signature_checks(
         )
     )
 
-    edges = sum(len(s) for s in poset.succ)
-    monotone = all(
-        poset.dims[j] > poset.dims[i]
-        for i in range(len(poset))
-        for j in poset.succ[i]
-    )
+    # One walk over the move edges checks the dimension rise and prefix-count
+    # monotonicity.  The order is the reflexive-transitive closure of the move
+    # edges and componentwise domination is reflexive and transitive, so
+    # checking every move edge checks every relation.
+    counts = []
+    for c in elements:
+        signature = prefix_signature(c)
+        counts.append(signature.plus + signature.minus)
+    edges = 0
+    rise_bad = prefix_bad = ""
+    for i, upper_indices in enumerate(poset.succ):
+        edges += len(upper_indices)
+        lower = counts[i]
+        for j in upper_indices:
+            if not rise_bad and dims[j] <= dims[i]:
+                rise_bad = (
+                    f"move {format_clan(elements[i])} -> {format_clan(elements[j])} "
+                    f"takes the dimension from {dims[i]} to {dims[j]}"
+                )
+            if not prefix_bad and any(map(operator.lt, lower, counts[j])):
+                prefix_bad = (
+                    f"move {format_clan(elements[i])} -> "
+                    f"{format_clan(elements[j])} violates prefix-count monotonicity"
+                )
     out.append(
-        CheckResult("move-monotonicity", p, q, monotone, f"{edges} move edges all raise dimension")
+        CheckResult(
+            "move-monotonicity",
+            p,
+            q,
+            not rise_bad,
+            rise_bad or f"{edges} move edges all raise dimension",
+        )
     )
 
     extremes_ok = poset.maximum() == top and poset.minimal_elements() == [
-        c for c in elements if is_closed(c)
+        c for c, closed in zip(elements, closed_flags) if closed
     ]
     out.append(
         CheckResult(
@@ -155,25 +187,6 @@ def _signature_checks(
         )
     )
 
-    # The order is the reflexive-transitive closure of the move edges and
-    # componentwise domination is reflexive and transitive, so checking every
-    # move edge checks every relation.
-    counts = []
-    for c in poset.elements:
-        signature = prefix_signature(c)
-        counts.append(signature.plus + signature.minus)
-    prefix_bad = ""
-    for i, upper_indices in enumerate(poset.succ):
-        lower = counts[i]
-        for j in upper_indices:
-            if any(map(operator.lt, lower, counts[j])):
-                prefix_bad = (
-                    f"move {format_clan(poset.elements[i])} -> "
-                    f"{format_clan(poset.elements[j])} violates prefix-count monotonicity"
-                )
-                break
-        if prefix_bad:
-            break
     out.append(
         CheckResult(
             "prefix-monotonicity",

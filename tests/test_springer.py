@@ -123,6 +123,15 @@ class TestSpringerCount:
                 poset, parse_clan("1,1,+,-", 2, 2), parse_clan("1,+,-,1", 2, 2)
             )
 
+    def test_membership_is_checked_before_closedness(self):
+        # closedness is read from the diagnosis table, so a clan outside the
+        # poset is refused as such even when it is not closed either
+        poset = oracles.get_poset(2, 2)
+        with pytest.raises(
+            ClanError, match=r"^clan 1,1 is not an element of the \(2,2\) poset$"
+        ):
+            springer_count(poset, parse_clan("1,1", 1, 1), parse_clan("1,+,-,1", 2, 2))
+
     def test_requires_closed_below(self):
         poset = oracles.get_poset(2, 2)
         with pytest.raises(
@@ -385,3 +394,23 @@ class TestCollapse:
         closed = collapse_to_closed(clan, FORBIDDEN_PATTERNS[0], (1, 2, 3, 4))
         witness = springer_count(poset, closed, clan)
         assert (witness.count, witness.budget) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            (0, 2, 3, 4),
+            (-3, 2, 3, 4),
+            (5, 2, 3, 4),
+            (4, 2, 3, 1),
+            (1, 2, 3, 1),
+            (1, 2, 3),
+            (1, 2, 3, 4, 4),
+        ],
+    )
+    def test_collapse_rejects_bad_positions(self, positions):
+        # out of range, out of order, repeated or the wrong number of positions
+        clan = parse_clan("1,+,-,1", 2, 2)
+        with pytest.raises(
+            ClanError, match="^the given positions do not embed the pattern in the clan$"
+        ):
+            collapse_to_closed(clan, FORBIDDEN_PATTERNS[0], positions)

@@ -78,6 +78,30 @@ def test_prefix_monotonicity_fails_on_a_bad_move_edge(monkeypatch):
     assert "-,1,+,1" in failing[0]
 
 
+def test_move_monotonicity_names_a_non_increasing_edge(monkeypatch):
+    # 1,1,+,- and +,1,1,- are incomparable and both of dimension 3; an edge
+    # between them must fail the check with the edge in its detail
+    real_build = verify.build_poset
+
+    def build_with_flat_edge(p, q, **kwargs):
+        poset = real_build(p, q, **kwargs)
+        if (p, q) != (2, 2):
+            return poset
+        low = poset.index_of(parse_clan("1,1,+,-", 2, 2))
+        high = poset.index_of(parse_clan("+,1,1,-", 2, 2))
+        succ = list(poset.succ)
+        succ[low] = tuple(sorted(succ[low] + (high,)))
+        return OrbitPoset(p, q, poset.elements, poset.dims, tuple(succ))
+
+    monkeypatch.setattr(verify, "build_poset", build_with_flat_edge)
+    lines = report_lines(*run_checks(max_n=4))
+    failing = [line for line in lines if line.startswith("FAIL move-monotonicity")]
+    assert failing == [
+        "FAIL move-monotonicity p=2 q=2: "
+        "move 1,1,+,- -> +,1,1,- takes the dimension from 3 to 3"
+    ]
+
+
 def test_structural_check_runs_once_per_clan(monkeypatch):
     calls = []
     check = patterns.structural_check
