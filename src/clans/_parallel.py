@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -21,6 +20,8 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list
     workers = min(jobs or cores, cores, len(data))
     if workers <= 1:
         return [fn(x) for x in data]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
     chunk = max(1, len(data) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, data, chunksize=chunk))

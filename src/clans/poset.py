@@ -39,7 +39,7 @@ __all__ = [
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterator, NoReturn
 
@@ -136,6 +136,11 @@ def moves(clan: Clan) -> list[Move]:
 def successors(clan: Clan) -> set[Clan]:
     """Distinct one-move enlargements of the clan, each built as a ``Clan`` once."""
     return {_trusted_clan(r, clan.p, clan.q) for r in {r for _, _, _, r in _move_results(clan)}}
+
+
+def _successor_indices(index: dict[tuple, int], clan: Clan) -> tuple[int, ...]:
+    """Ascending element indices of the clan's successors; the ``Clan`` set dies here."""
+    return tuple(sorted(index[s.entries] for s in successors(clan)))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -369,16 +374,17 @@ class OrbitPoset:
 def build_poset(p: int, q: int, *, jobs: int = 1) -> OrbitPoset:
     """Enumerate the clans of signature (p, q) and close the move relation.
 
-    Refuses p + q above :data:`POSET_MAX_N`.  Successor generation may fan
-    out over `jobs` workers; the merge is ordered, so the result is identical
-    for any worker count.
+    Refuses p + q above :data:`POSET_MAX_N`.  Each clan's successor set is
+    resolved to element indices as soon as it is made, so one set of
+    ``Clan`` objects is alive at a time.  Successor generation may fan out
+    over `jobs` workers, which send back index tuples; the merge is ordered,
+    so the result is identical for any worker count.
     """
     if p + q > POSET_MAX_N:
         raise PosetSizeError(f"p+q={p + q} exceeds the size bound {POSET_MAX_N}")
     elements = tuple(enumerate_clans(p, q))
     index = {c.entries: i for i, c in enumerate(elements)}
-    succ_sets = ordered_map(successors, elements, jobs)
-    succ = tuple(tuple(sorted(index[s.entries] for s in ss)) for ss in succ_sets)
+    succ = tuple(ordered_map(partial(_successor_indices, index), elements, jobs))
     dims = tuple(dimension(c) for c in elements)
     for i, targets in enumerate(succ):
         for j in targets:

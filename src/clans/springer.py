@@ -109,11 +109,14 @@ def collapse_to_closed(
     only: the result need not exceed its budget even for singular targets.
     """
     embedding = tuple(embedding)
-    # 1 <= e_1 < ... < e_m <= n, checked before any position is read
+    # 1 <= e_1 < ... < e_m <= n, checked before any position is read; then
+    # the picked pair entries must come in whole pairs for canonicalize
     in_order = all(map(operator.lt, (0,) + embedding, embedding + (clan.n + 1,)))
+    host_mates = clan.mates()
     if (
         len(embedding) != pattern.n
         or not in_order
+        or any(host_mates.get(i, i) not in embedding for i in embedding)
         or canonicalize(clan.entries[i - 1] for i in embedding) != pattern
     ):
         raise ClanError("the given positions do not embed the pattern in the clan")

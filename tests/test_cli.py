@@ -376,7 +376,7 @@ class TestDeterminismAcrossJobs:
                 return map(fn, data)
 
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         _, serial, _ = run_main(capsys, "enumerate", "--p", "3", "--q", "2")
         _, clamped, _ = run_main(
             capsys, "enumerate", "--p", "3", "--q", "2", "--jobs", "100000"
@@ -385,6 +385,16 @@ class TestDeterminismAcrossJobs:
         assert _parallel.ordered_map(abs, [-1, 2, -3], 0) == [1, 2, 3]
         assert _parallel.ordered_map(abs, [-1], 100000) == [1]
         assert requested == [4, 3]
+
+    def test_cli_import_loads_no_pool(self):
+        # a fresh interpreter, since this one may have imported them already
+        pool_modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+        code = f"import sys, clans.cli; print([m for m in {pool_modules!r} if m in sys.modules])"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_verify_jobs(self, capsys):
         outs = []

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -183,6 +184,23 @@ class TestBuildPoset:
             build_poset(2, 2)
         message = str(raised.value)
         assert "1,+,-,1" in message and "+,+,-,-" in message
+
+    def test_one_successor_set_alive_at_a_time(self, monkeypatch):
+        # each set of successor Clans is resolved to indices and freed before
+        # the next is made; holding every set would fail on the second call
+        previous = []
+
+        def one_at_a_time(clan):
+            assert all(ref() is None for ref in previous)
+            found = successors(clan)
+            previous[:] = [weakref.ref(s) for s in found]
+            return found
+
+        monkeypatch.setattr("clans.poset.successors", one_at_a_time)
+        poset = build_poset(4, 4)
+        assert poset.succ == tuple(
+            tuple(sorted(poset.index_of(s) for s in successors(c))) for c in poset.elements
+        )
 
     def test_jobs_do_not_change_result(self):
         serial = build_poset(2, 2, jobs=1)

@@ -414,3 +414,12 @@ class TestCollapse:
             ClanError, match="^the given positions do not embed the pattern in the clan$"
         ):
             collapse_to_closed(clan, FORBIDDEN_PATTERNS[0], positions)
+
+    def test_collapse_rejects_half_a_host_pair(self):
+        # in order and of the right length, but position 1's mate (4) is not
+        # picked; the message is the same as for any other non-embedding
+        clan = parse_clan("1,+,-,1,+,-", 3, 3)
+        with pytest.raises(
+            ClanError, match="^the given positions do not embed the pattern in the clan$"
+        ):
+            collapse_to_closed(clan, FORBIDDEN_PATTERNS[0], (1, 2, 3, 5))
