@@ -40,7 +40,7 @@ __all__ = [
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterator, NoReturn
 
 from .core import (
@@ -164,22 +164,22 @@ class _ClosedTable(dict):
 class OrbitPoset:
     """All clans of signature (p, q) under the move-generated closure order.
 
-    Elements sit in enumeration order; reachability is kept as one down-set
-    bitmask per element, so :meth:`leq` is one bit test after the build and
-    :meth:`upper_set` scans the down-sets.  The index-level accessors
-    (:meth:`down_mask`, :meth:`closed_below_indices`, :meth:`closed_leq`,
-    :meth:`reflections`, :meth:`reflection_hits`, :meth:`reflection_count`)
-    answer the same questions by element index without hashing clans.  All
-    but the first read one table, built on first use, which is all that the
-    diagnosis asks about.  S is the closed elements in token order, then the
-    one-pair clans in token order; closedness is
-    :func:`~clans.core.is_closed`, the package's one test of it.  The table
-    holds each element's down-set restricted to S, the (a, b) of each
-    one-pair clan, and for each closed element its own S bit and the S-mask
-    of its reflection images.  The table is also what rejects a clan that is
-    not closed: an index missing from it raises
-    :class:`~clans.core.ClanError`.  Apart from that table, instances are
-    immutable once constructed and safe to share; build with
+    Elements sit in enumeration order.  Two tables are built on first use.
+    The first holds one down-set bitmask per element and the Hasse covers,
+    so :meth:`leq` is one bit test once it is built and :meth:`upper_set`
+    scans the down-sets.  The index-level accessors (:meth:`down_mask`,
+    :meth:`closed_below_indices`, :meth:`closed_leq`, :meth:`reflections`,
+    :meth:`reflection_hits`, :meth:`reflection_count`) answer the same
+    questions by element index without hashing clans.  All but the first
+    read the second table, which is all that the diagnosis asks about.  S
+    is the closed elements in token order, then the one-pair clans in token
+    order; closedness is :func:`~clans.core.is_closed`, the package's one
+    test of it.  The second table holds each element's down-set restricted
+    to S, the (a, b) of each one-pair clan, and for each closed element its
+    own S bit and the S-mask of its reflection images.  It is also what
+    rejects a clan that is not closed: an index missing from it raises
+    :class:`~clans.core.ClanError`.  Apart from the two tables, instances
+    are immutable once constructed and safe to share; build with
     :func:`build_poset`.
 
     >>> from clans.core import parse_clan
@@ -206,28 +206,47 @@ class OrbitPoset:
         self.dims = dims
         self.succ = succ
         self._index = {c.entries: i for i, c in enumerate(elements)}
-        size = len(elements)
+        # Both tables are built in this order; as a list it would hold an
+        # int object per element (0.3 MB at (5,4)).
+        self._ascending = array("I", sorted(range(len(elements)), key=dims.__getitem__))
 
-        # Every move edge raises the dimension, so visiting elements by
-        # ascending dimension finishes each down-set before it is pushed on.
-        # The order is kept for the diagnosis table, in an array: as a list
-        # it would hold an int object per element (0.3 MB at (5,4)).
-        self._ascending = array("I", sorted(range(size), key=dims.__getitem__))
-        down = [1 << i for i in range(size)]
+    @cached_property
+    def _closure(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+        """(down-set bitmask, ascending upper covers) per element, in one pass.
+
+        Elements go by ascending dimension, which every move edge raises, so
+        a predecessor's down-set is done before it is read, and elements of
+        equal dimension are incomparable.  Each j ORs its predecessors'
+        down-sets into ``below``, highest dimension first.  A predecessor
+        below another one has a lower dimension, so it is already in
+        ``below`` when read: it is no cover and adds nothing.  A predecessor
+        not yet in ``below`` lies below no other one, so it is a cover.
+        """
+        size, succ = len(self.elements), self.succ
+        # predecessors, highest dimension first: j's are flat[start[j] : start[j + 1]]
+        start = [0] * (size + 1)
+        for j in chain.from_iterable(succ):
+            start[j] += 1
+        start = list(accumulate(start))
+        flat = array("I", [0]) * start[-1]
         for i in self._ascending:
             for j in succ[i]:
-                down[j] |= down[i]
+                start[j] -= 1
+                flat[start[j]] = i
+        down, covers = [0] * size, [[] for _ in range(size)]
+        for j in self._ascending:
+            below = 0
+            for i in flat[start[j] : start[j + 1]]:
+                if not below >> i & 1:
+                    covers[i].append(j)
+                    below |= down[i]
+            down[j] = below | 1 << j
+        return down, tuple(tuple(sorted(c)) for c in covers)
 
-        # down[j] holds j, so a successor j is a cover iff no other successor is in it.
-        covers: list[tuple[int, ...]] = []
-        for i in range(size):
-            succ_mask = 0
-            for j in succ[i]:
-                succ_mask |= 1 << j
-            covers.append(tuple(j for j in succ[i] if (down[j] & succ_mask).bit_count() == 1))
-
-        self._down = down
-        self.cover_indices = tuple(covers)
+    @property
+    def cover_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Upper covers of each element, as ascending element indices."""
+        return self._closure[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -243,16 +262,16 @@ class OrbitPoset:
     def leq(self, a: Clan, b: Clan) -> bool:
         """Is the a-orbit contained in the closure of the b-orbit?"""
         low = self.index_of(a)
-        return bool(self._down[self.index_of(b)] >> low & 1)
+        return bool(self.down_mask(self.index_of(b)) >> low & 1)
 
     def lower_set(self, clan: Clan) -> set[Clan]:
         """Every element below-or-equal the given clan."""
-        return {self.elements[i] for i in _bits(self._down[self.index_of(clan)])}
+        return {self.elements[i] for i in _bits(self.down_mask(self.index_of(clan)))}
 
     def upper_set(self, clan: Clan) -> set[Clan]:
         """Every element above-or-equal the given clan."""
         i = self.index_of(clan)
-        return {self.elements[j] for j, down in enumerate(self._down) if down >> i & 1}
+        return {self.elements[j] for j, down in enumerate(self._closure[0]) if down >> i & 1}
 
     def closed_below(self, clan: Clan) -> set[Clan]:
         """The all-sign clans in the lower set of the given clan."""
@@ -260,7 +279,7 @@ class OrbitPoset:
 
     def down_mask(self, i: int) -> int:
         """Bitmask of the element indices below-or-equal element i."""
-        return self._down[i]
+        return self._closure[0][i]
 
     def closed_below_indices(self, i: int) -> Iterator[int]:
         """Indices of the closed elements below element i, ascending (token order)."""
@@ -356,7 +375,7 @@ class OrbitPoset:
     def maximum(self) -> Clan:
         """The greatest element; raises if there is none or it is not unique."""
         full = (1 << len(self.elements)) - 1
-        tops = [c for i, c in enumerate(self.elements) if self._down[i] == full]
+        tops = [c for c, down in zip(self.elements, self._closure[0]) if down == full]
         if len(tops) != 1:
             raise RuntimeError(
                 f"({self.p},{self.q}) poset has {len(tops)} top elements, expected one"
@@ -364,11 +383,7 @@ class OrbitPoset:
         return tops[0]
 
     def minimal_elements(self) -> list[Clan]:
-        return [
-            c
-            for i, c in enumerate(self.elements)
-            if self._down[i] == 1 << i
-        ]
+        return [c for i, c in enumerate(self.elements) if self.down_mask(i) == 1 << i]
 
 
 def build_poset(p: int, q: int, *, jobs: int = 1) -> OrbitPoset:

@@ -111,6 +111,32 @@ def bfs_below(low: Clan, high: Clan) -> bool:
     return False
 
 
+def naive_reach_and_covers(clans) -> tuple[dict, dict]:
+    """Each clan's move-reachable set and its upper covers, from :func:`naive_moves` alone.
+
+    Reachability is a memoised depth-first union over the naive successor
+    sets.  A successor j of i is a cover iff no other successor of i reaches j.
+    """
+    succ = {c: {result for _, _, result in naive_moves(c)} for c in clans}
+    reach: dict = {}
+
+    def up(c):
+        if c not in reach:
+            found = {c}
+            for s in succ[c]:
+                found |= up(s)
+            reach[c] = frozenset(found)
+        return reach[c]
+
+    for c in succ:
+        up(c)
+    covers = {
+        c: {j for j in targets if not any(j in reach[k] for k in targets if k != j)}
+        for c, targets in succ.items()
+    }
+    return reach, covers
+
+
 def exact_rank(rows: list[list]) -> int:
     """Rank over Q by fraction-exact Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]

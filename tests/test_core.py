@@ -1,6 +1,7 @@
 """Clan representation, parsing, enumeration, dimension and prefix counts."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -259,6 +260,16 @@ class TestEnumerate:
         # enumerated clans skip validation; the full constructor must accept them
         for clan in clans_up_to(7):
             assert Clan(clan.entries, clan.p, clan.q) == clan
+
+    def test_trusted_clans_stay_frozen(self):
+        # enumerated clans skip the constructor; they must stay frozen and
+        # equal and hash like checked ones
+        for clan in enumerate_clans(2, 2):
+            checked = Clan(clan.entries, 2, 2)
+            assert clan == checked and hash(clan) == hash(checked)
+            for field in ("entries", "p", "q"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(clan, field, getattr(clan, field))
 
     def test_negative_sides_have_no_clans(self):
         assert enumerate_clans(-1, 2) == enumerate_clans(2, -1) == []

@@ -4,6 +4,7 @@ import hashlib
 import random
 import weakref
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from clans import (
     Clan,
     ClanError,
     NonIncreasingMoveError,
+    OrbitPoset,
     PosetSizeError,
     build_poset,
     canonicalize,
@@ -28,6 +30,7 @@ from clans import (
     open_clan,
     parse_clan,
     prefix_signature,
+    springer_diagnosis,
     successors,
 )
 
@@ -202,6 +205,42 @@ class TestBuildPoset:
             tuple(sorted(poset.index_of(s) for s in successors(c))) for c in poset.elements
         )
 
+    def test_closure_is_built_once_on_first_use(self, monkeypatch):
+        # the diagnosis reads its own table, so it must not build the
+        # down-sets and covers; the first order query or export builds them once
+        built = []
+        closure = OrbitPoset._closure.func
+
+        def counted(poset):
+            built.append(poset)
+            return closure(poset)
+
+        prop = cached_property(counted)
+        prop.__set_name__(OrbitPoset, "_closure")
+        monkeypatch.setattr(OrbitPoset, "_closure", prop)
+        poset = build_poset(3, 3)
+        for clan in poset.elements:
+            springer_diagnosis(poset, clan)
+        assert built == []
+        assert poset.leq(poset.elements[0], poset.maximum())
+        poset.hasse_covers()
+        export_tsv(poset)
+        assert built == [poset]
+
+    def test_constructor_sees_an_edited_successor_table(self):
+        # verify's fault-injection tests build posets with an extra edge
+        poset = build_poset(2, 2)
+        low = parse_clan("1,1,+,-", 2, 2)
+        high = parse_clan("-,1,+,1", 2, 2)
+        assert not poset.leq(low, high)
+        i, j = poset.index_of(low), poset.index_of(high)
+        succ = list(poset.succ)
+        succ[i] = tuple(sorted(succ[i] + (j,)))
+        edited = OrbitPoset(2, 2, poset.elements, poset.dims, tuple(succ))
+        assert edited.leq(low, high)
+        assert j in edited.cover_indices[i]
+        assert not poset.leq(low, high)
+
     def test_jobs_do_not_change_result(self):
         serial = build_poset(2, 2, jobs=1)
         parallel = build_poset(2, 2, jobs=2)
@@ -300,6 +339,21 @@ class TestHasseAndExports:
                 poset = oracles.get_poset(p, n - p)
                 for low, high in poset.hasse_covers():
                     assert dimension(high) >= dimension(low) + 1
+
+    def test_closure_matches_naive_oracle(self):
+        # covers and down-sets come from one pass, so each is checked against
+        # reachability over naive_moves rather than against the other
+        for n in range(1, 8):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                reach, covers = oracles.naive_reach_and_covers(poset.elements)
+                lower = {c: set() for c in poset.elements}
+                for x, above in reach.items():
+                    for c in above:
+                        lower[c].add(x)
+                for i, c in enumerate(poset.elements):
+                    assert {poset.elements[j] for j in poset.cover_indices[i]} == covers[c]
+                    assert poset.lower_set(c) == lower[c]
 
     def test_covers_are_transitive_reduction(self):
         # removing a cover edge must change reachability; adding back any
