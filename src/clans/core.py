@@ -73,6 +73,8 @@ class Clan:
     :func:`canonicalize` or :func:`parse_clan` to build one from raw data.
     """
 
+    __slots__ = ("entries", "p", "q", "__weakref__")
+
     entries: tuple[Entry, ...]
     p: int
     q: int
@@ -125,6 +127,12 @@ class Clan:
                 out[pos] = left[e - 1]
         return out
 
+    def __hash__(self) -> int:
+        return hash(self.entries)  # canonical entries fix p and q
+
+    def __reduce__(self) -> tuple:
+        return _trusted_clan, (self.entries, self.p, self.q)
+
     def __str__(self) -> str:
         return format_clan(self)
 
@@ -176,13 +184,17 @@ def _trusted_clan(entries: tuple[Entry, ...], p: int, q: int) -> Clan:
     Skips ``Clan.__post_init__``.  Its callers number pairs canonically:
     :func:`canonicalize` and :func:`apply_reflection` with :func:`_relabelled`,
     :func:`enumerate_clans` by filling in token order, and the move kernel of
-    ``clans.poset`` (see its module docstring).
+    ``clans.poset`` (see its module docstring).  Unpickling comes here too.
     """
     clan = object.__new__(Clan)
-    object.__setattr__(clan, "entries", entries)
-    object.__setattr__(clan, "p", p)
-    object.__setattr__(clan, "q", q)
+    _set_entries(clan, entries)
+    _set_p(clan, p)
+    _set_q(clan, q)
     return clan
+
+
+# The slots' own setters: they skip the frozen ``Clan.__setattr__``.
+_set_entries, _set_p, _set_q = (vars(Clan)[name].__set__ for name in ("entries", "p", "q"))
 
 
 def parse_clan(text: str, p: int, q: int) -> Clan:

@@ -14,10 +14,19 @@ that makes the relation antisymmetric.  :func:`build_poset` checks it once
 per move edge and aborts loudly on a move that fails it instead of dropping
 the edge, since that would mean the move rules are implemented wrong.
 
-Most move results come out canonical.  A pair created at signs i < j is
-number k + 1, where k pairs open before i, and every number above k goes up
-by one.  A right endpoint slide moves no first occurrence; left endpoint
-slides and exchanges can, so only their results are renumbered.
+Every move result is numbered as it is made.  A canonical clan numbers its
+pairs by where they open, and a move makes at most one pair open anew, at a
+position y left of its old opening x.  Creation at signs i < j has y = i and
+x past the end; a left slide of the entry at v to the sign at u has y = u and
+x = v; an exchange of u < v, with mates m(u) < m(v), of disjoint pairs has
+y = max(u, m(u)) and x = min(v, m(v)).  With k pairs opening before y and b
+numbering x's pair (a new pair is one past the last), the pairs k+1..b-1
+opening between y and x move up one and the pair at y becomes k+1.  So the
+result is the parent renumbered so, then two positions overwritten: creation
+writes k+1 at i and j; a slide swaps u and v; an exchange swaps y with v if
+y = u, else with m(v), which links the same positions and carries the number
+of x's pair to y.  Right slides and exchanges of crossing pairs (the result
+nests them) open nothing anew: there k >= b, and the renumbering is void.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from .core import (
     PLUS,
     Clan,
     ClanError,
-    _relabelled,
     _trusted_clan,
     dimension,
     enumerate_clans,
@@ -87,19 +95,30 @@ class Move:
 def _move_results(clan: Clan) -> Iterator[tuple[str, int, int, tuple]]:
     """(kind, i, j, result entries) of every move, in :func:`moves` order."""
     entries = clan.entries
-    signs, opened, left, mates = [], [], [], {}
+    signs, before, left, mates = [], [], [], {}
     for pos, e in enumerate(entries, start=1):
+        before.append(len(left))  # pairs opened before pos
         if e == PLUS or e == MINUS:
             signs.append(pos)
-            opened.append(len(left))
         elif e > len(left):
             left.append(pos)
         else:
             mates[left[e - 1]] = pos
             mates[pos] = left[e - 1]
 
-    for a, (i, k) in enumerate(zip(signs, opened)):
-        shifted = [e if e == PLUS or e == MINUS or e <= k else e + 1 for e in entries]
+    def renumbered(k: int, b: int) -> list:
+        """The entries with numbers k+1..b-1 raised by one and b renamed to k+1."""
+        new = list(entries)
+        for e, i in enumerate(left[k : b - 1], start=k + 2):
+            new[i - 1] = new[mates[i] - 1] = e
+        if k < b <= len(left):
+            i = left[b - 1]
+            new[i - 1] = new[mates[i] - 1] = k + 1
+        return new
+
+    for a, i in enumerate(signs):
+        k = before[i - 1]
+        shifted = renumbered(k, len(left) + 1)
         for j in signs[a + 1 :]:
             if entries[i - 1] != entries[j - 1]:
                 new = shifted.copy()
@@ -110,24 +129,23 @@ def _move_results(clan: Clan) -> Iterator[tuple[str, int, int, tuple]]:
         right = v > mates[v]
         for u in signs:
             if (u > v) == right:  # farther from the mate, on the same side
-                new = list(entries)
+                new = renumbered(before[u - 1], entries[v - 1])
                 new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-                result = tuple(new) if right else _relabelled(new)
-                yield ENDPOINT_SLIDE, min(u, v), max(u, v), result
+                yield ENDPOINT_SLIDE, min(u, v), max(u, v), tuple(new)
     for u, v in combinations(pair_positions, 2):
         if entries[u - 1] != entries[v - 1] and mates[u] < mates[v]:
-            new = list(entries)
-            new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-            yield PAIR_EXCHANGE, u, v, _relabelled(new)
+            y = max(u, mates[u])  # see the module docstring
+            z = v if y == u else mates[v]
+            new = renumbered(before[y - 1], entries[v - 1])
+            new[y - 1], new[z - 1] = new[z - 1], new[y - 1]
+            yield PAIR_EXCHANGE, u, v, tuple(new)
 
 
 def moves(clan: Clan) -> list[Move]:
     """Every single-move enlargement of the clan, in a deterministic order.
 
     Dimensions are not checked here; :func:`build_poset` checks each move edge.
-    No result is validated: each move keeps every number occurring twice and
-    keeps the signature (p, q).  Only the results of left endpoint slides and
-    exchanges are renumbered; the module docstring says why.
+    No result is validated or renumbered: the module docstring shows each is canonical.
     """
     p, q = clan.p, clan.q
     return [Move(kind, (i, j), _trusted_clan(r, p, q)) for kind, i, j, r in _move_results(clan)]
@@ -373,9 +391,8 @@ class OrbitPoset:
         ]
 
     def maximum(self) -> Clan:
-        """The greatest element; raises if there is none or it is not unique."""
-        full = (1 << len(self.elements)) - 1
-        tops = [c for c, down in zip(self.elements, self._closure[0]) if down == full]
+        """The one element with no successors: the greatest, as the order is finite."""
+        tops = [c for c, up in zip(self.elements, self.succ) if not up]
         if len(tops) != 1:
             raise RuntimeError(
                 f"({self.p},{self.q}) poset has {len(tops)} top elements, expected one"
@@ -383,7 +400,8 @@ class OrbitPoset:
         return tops[0]
 
     def minimal_elements(self) -> list[Clan]:
-        return [c for i, c in enumerate(self.elements) if self.down_mask(i) == 1 << i]
+        entered = set(chain.from_iterable(self.succ))  # targets of move edges
+        return [c for i, c in enumerate(self.elements) if i not in entered]
 
 
 def build_poset(p: int, q: int, *, jobs: int = 1) -> OrbitPoset:

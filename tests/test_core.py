@@ -1,6 +1,8 @@
 """Clan representation, parsing, enumeration, dimension and prefix counts."""
 
 import math
+import pickle
+import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -270,6 +272,18 @@ class TestEnumerate:
             for field in ("entries", "p", "q"):
                 with pytest.raises(FrozenInstanceError):
                     setattr(clan, field, getattr(clan, field))
+
+    def test_clans_are_slotted_picklable_and_frozen(self):
+        # no instance dict; pickling goes through the trusted constructor,
+        # which must still give equal clans that hash alike
+        for clan in enumerate_clans(3, 3):
+            assert not hasattr(clan, "__dict__")
+            copy = pickle.loads(pickle.dumps(clan))
+            assert copy == clan and hash(copy) == hash(clan)
+            assert (copy.p, copy.q) == (3, 3)
+            assert weakref.ref(clan)() is clan
+            with pytest.raises(FrozenInstanceError):
+                clan.p = 4
 
     def test_negative_sides_have_no_clans(self):
         assert enumerate_clans(-1, 2) == enumerate_clans(2, -1) == []

@@ -102,17 +102,24 @@ class TestMoves:
                     for mv in moves(clan):
                         assert oracles.rank_dominates(clan, mv.result)
 
-    @pytest.mark.parametrize("n", range(7))
-    def test_moves_match_naive_oracle(self, n):
+    @staticmethod
+    def assert_all_moves_match_naive_oracle(n):
         for p in range(n + 1):
             for clan in enumerate_clans(p, n - p):
                 assert_moves_match_naive_oracle(clan)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_moves_match_naive_oracle(self, n):
+        self.assert_all_moves_match_naive_oracle(n)
+
     @pytest.mark.slow
     def test_moves_match_naive_oracle_n7(self):
-        for p in range(8):
-            for clan in enumerate_clans(p, 7 - p):
-                assert_moves_match_naive_oracle(clan)
+        self.assert_all_moves_match_naive_oracle(7)
+
+    @pytest.mark.slow
+    def test_moves_match_naive_oracle_n8(self):
+        # the first size with exchanges among four pairs
+        self.assert_all_moves_match_naive_oracle(8)
 
     @settings(max_examples=200, deadline=None)
     @given(long_clans())
@@ -173,6 +180,14 @@ class TestBuildPoset:
                 assert poset.minimal_elements() == [
                     c for c in poset.elements if is_closed(c)
                 ]
+
+    def test_extremes_read_the_move_edges_only(self):
+        # the one element without successors is the greatest, and the
+        # minimal elements are those no move edge enters: no closure pass
+        poset = build_poset(3, 3)
+        assert poset.maximum() == open_clan(3, 3)
+        assert poset.minimal_elements() == [c for c in poset.elements if is_closed(c)]
+        assert "_closure" not in vars(poset)
 
     def test_non_increasing_move_edge_raises(self, monkeypatch):
         source = parse_clan("1,+,-,1", 2, 2)
