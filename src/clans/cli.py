@@ -110,7 +110,7 @@ class _OutputError(Exception):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:

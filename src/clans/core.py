@@ -145,8 +145,9 @@ def canonicalize(entries: Iterable[Entry]) -> Clan:
     >>> canonicalize((3, 1, 1, 3)).entries
     (1, 2, 2, 1)
     """
-    entries = tuple(entries)
+    out: list[Entry] = []
     counts: dict[int, int] = {}
+    number: dict[int, int] = {}  # pair number -> its canonical one, by first occurrence
     plus = minus = 0
     for e in entries:
         if e == PLUS:
@@ -155,36 +156,27 @@ def canonicalize(entries: Iterable[Entry]) -> Clan:
             minus += 1
         elif isinstance(e, int) and not isinstance(e, bool) and e >= 1:
             counts[e] = counts.get(e, 0) + 1
+            e = number.setdefault(e, len(number) + 1)
         else:
             raise ClanError(f"invalid clan entry {e!r}")
+        out.append(e)
     for e, c in counts.items():
         if c != 2:
             raise ClanError(
                 f"number {e} occurs {c} time(s); every number must occur exactly twice"
             )
     k = len(counts)
-    return _trusted_clan(_relabelled(entries), plus + k, minus + k)
-
-
-def _relabelled(entries: Iterable[Entry]) -> tuple[Entry, ...]:
-    """Valid entries with their pairs renumbered 1, 2, ... by first occurrence."""
-    relabel: dict[Entry, int] = {}
-    out: list[Entry] = []
-    for e in entries:
-        if e == PLUS or e == MINUS:
-            out.append(e)
-        else:
-            out.append(relabel.setdefault(e, len(relabel) + 1))
-    return tuple(out)
+    return _trusted_clan(tuple(out), plus + k, minus + k)
 
 
 def _trusted_clan(entries: tuple[Entry, ...], p: int, q: int) -> Clan:
     """Build a Clan from entries already known to be canonical for (p, q).
 
     Skips ``Clan.__post_init__``.  Its callers number pairs canonically:
-    :func:`canonicalize` and :func:`apply_reflection` with :func:`_relabelled`,
-    :func:`enumerate_clans` by filling in token order, and the move kernel of
-    ``clans.poset`` (see its module docstring).  Unpickling comes here too.
+    :func:`canonicalize` by first occurrence as it reads,
+    :func:`apply_reflection` by making its one pair pair 1,
+    :func:`enumerate_clans` by filling in token order, and the move kernel
+    of ``clans.poset`` (see its module docstring).  Unpickling comes here too.
     """
     clan = object.__new__(Clan)
     _set_entries(clan, entries)
@@ -412,6 +404,9 @@ def noncompact_reflections(closed: Clan) -> list[tuple[int, int]]:
 def apply_reflection(closed: Clan, i: int, j: int) -> Clan:
     """Replace the opposite signs at i < j by a pair; dimension rises by j - i.
 
+    The clan is closed, so it has no pairs: the new one is pair 1, and the
+    closed entries with 1 at i and j are already canonical.
+
     >>> str(apply_reflection(canonicalize(("-", "+", "-", "+")), 1, 4))
     '1,+,-,1'
     """
@@ -423,9 +418,8 @@ def apply_reflection(closed: Clan, i: int, j: int) -> Clan:
     if a == b:
         raise ClanError(f"positions ({i},{j}) hold equal signs {a!r}")
     new = list(closed.entries)
-    new[i - 1] = closed.n + 1
-    new[j - 1] = closed.n + 1
-    return _trusted_clan(_relabelled(new), closed.p, closed.q)
+    new[i - 1] = new[j - 1] = 1
+    return _trusted_clan(tuple(new), closed.p, closed.q)
 
 
 def open_clan(p: int, q: int) -> Clan:

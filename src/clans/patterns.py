@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .core import (
     PLUS,
@@ -120,11 +120,9 @@ def find_embedding(host: Clan, pattern: Clan) -> Optional[tuple[int, ...]]:
     return tuple(chosen) if extend(1, 1) else None
 
 
-def includes_any(
-    host: Clan, patterns: Sequence[Clan] = FORBIDDEN_PATTERNS
-) -> Optional[tuple[Clan, tuple[int, ...]]]:
-    """First (pattern, least embedding) hit in the given order, else None."""
-    for pattern in patterns:
+def includes_any(host: Clan) -> Optional[tuple[Clan, tuple[int, ...]]]:
+    """First (pattern, least embedding) hit in :data:`FORBIDDEN_PATTERNS` order, else None."""
+    for pattern in FORBIDDEN_PATTERNS:
         embedding = find_embedding(host, pattern)
         if embedding is not None:
             return pattern, embedding

@@ -58,10 +58,12 @@ from .core import (
     Clan,
     ClanError,
     _trusted_clan,
+    apply_reflection,
     dimension,
     enumerate_clans,
     format_clan,
     is_closed,
+    noncompact_reflections,
 )
 from ._parallel import ordered_map
 
@@ -186,7 +188,7 @@ class OrbitPoset:
     The first holds one down-set bitmask per element and the Hasse covers,
     so :meth:`leq` is one bit test once it is built and :meth:`upper_set`
     scans the down-sets.  The index-level accessors (:meth:`down_mask`,
-    :meth:`closed_below_indices`, :meth:`closed_leq`, :meth:`reflections`,
+    :meth:`closed_below_indices`, :meth:`closed_leq`,
     :meth:`reflection_hits`, :meth:`reflection_count`) answer the same
     questions by element index without hashing clans.  All but the first
     read the second table, which is all that the diagnosis asks about.  S
@@ -309,16 +311,6 @@ class OrbitPoset:
         _, down, _, _, images = self._diagnosis
         return bool(down[t] & images[c][0])
 
-    def reflections(self, i: int) -> tuple[tuple[tuple[int, int], int], ...]:
-        """((a, b), image index) for each noncompact reflection of closed element i.
-
-        Listed in the order of :func:`~clans.core.noncompact_reflections`;
-        the image is :func:`~clans.core.apply_reflection` of the element.
-        """
-        order, _, _, pairs, images = self._diagnosis
-        spots = sorted(_bits(images[i][1]), reverse=True)
-        return tuple((pairs[s], order[s]) for s in spots)
-
     def reflection_hits(self, c: int, t: int) -> tuple[tuple[int, int], ...]:
         """(a, b) of each reflection of closed element c whose image lies below element t."""
         _, down, _, pairs, images = self._diagnosis
@@ -342,8 +334,9 @@ class OrbitPoset:
 
         One pass over the elements sorts out S: :func:`~clans.core.is_closed`
         picks the closed ones, and a clan that is not closed has one pair iff
-        it holds no 2, by the canonical numbering.  Each image is the closed
-        entries with 1 at a and b, already canonical.
+        it holds no 2, by the canonical numbering.  Each image is
+        :func:`~clans.core.apply_reflection`'s, one for each (a, b) of
+        :func:`~clans.core.noncompact_reflections`.
 
         The images of a closed clan strictly decrease in token order along
         :func:`~clans.core.noncompact_reflections`, which lists (a, b) in
@@ -373,12 +366,9 @@ class OrbitPoset:
         pairs = [None] * len(closed) + [elements[k].pairs[0] for k in one_pair]
         images = _ClosedTable(elements)
         for s, k in enumerate(closed):
-            entries, mask = elements[k].entries, 0
-            for a, b in combinations(range(self.n), 2):
-                if entries[a] != entries[b]:
-                    image = list(entries)
-                    image[a] = image[b] = 1
-                    mask |= 1 << position[index[tuple(image)]]
+            c, mask = elements[k], 0
+            for a, b in noncompact_reflections(c):
+                mask |= 1 << position[index[apply_reflection(c, a, b).entries]]
             images[k] = (1 << s, mask)
         return order, down, (1 << len(closed)) - 1, pairs, images
 

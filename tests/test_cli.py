@@ -65,14 +65,15 @@ class TestEnumerate:
         assert target.read_text().startswith("clan\t")
 
 
-@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "empty"])
 @pytest.mark.parametrize(
     "argv",
     [["stats", "--p", "1", "--q", "1"], ["classify", "--p", "1", "--q", "1", "--clan", "1,1"]],
     ids=["stats", "classify"],
 )
-def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, missing):
-    target = tmp_path / "missing" / "x" if missing else tmp_path
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, where):
+    # an empty path is a path that cannot be written, not a request for stdout
+    target = {"missing-dir": tmp_path / "missing" / "x", "directory": tmp_path, "empty": ""}[where]
     code, out, err = run_main(capsys, *argv, "--out", str(target))
     assert code == 2
     assert out == ""

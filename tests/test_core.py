@@ -117,6 +117,8 @@ class TestCanonicalize:
         assert canonicalize((2, "+", 2, "-")).entries == (1, "+", 1, "-")
         assert canonicalize((1, "+", "-", 1)).entries == (1, "+", "-", 1)
         assert canonicalize((3, 1, 1, 3)).entries == (1, 2, 2, 1)
+        # the input is read once, so a generator works
+        assert canonicalize(e for e in (2, "+", 2, "-")).entries == (1, "+", 1, "-")
 
     def test_idempotent(self):
         for clan in clans_up_to(5):
