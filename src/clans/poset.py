@@ -94,57 +94,64 @@ class Move:
     result: Clan
 
 
-def _move_results(clan: Clan) -> Iterator[tuple[str, int, int, tuple]]:
-    """(kind, i, j, result entries) of every move, in :func:`moves` order."""
+def _move_results(clan: Clan) -> list[tuple[str, int, int, tuple]]:
+    """(kind, i, j, result entries) of every move in :func:`moves` order; i, j count from 1."""
     entries = clan.entries
-    signs, before, left, mates = [], [], [], {}
-    for pos, e in enumerate(entries, start=1):
+    signs, ends, before, left, mate = [], [], [], [], [0] * len(entries)
+    for pos, e in enumerate(entries):
         before.append(len(left))  # pairs opened before pos
         if e == PLUS or e == MINUS:
             signs.append(pos)
-        elif e > len(left):
+            continue
+        ends.append(pos)
+        if e > len(left):
             left.append(pos)
         else:
-            mates[left[e - 1]] = pos
-            mates[pos] = left[e - 1]
+            mate[pos] = m = left[e - 1]
+            mate[m] = pos
 
     def renumbered(k: int, b: int) -> list:
         """The entries with numbers k+1..b-1 raised by one and b renamed to k+1."""
         new = list(entries)
         for e, i in enumerate(left[k : b - 1], start=k + 2):
-            new[i - 1] = new[mates[i] - 1] = e
+            new[i] = new[mate[i]] = e
         if k < b <= len(left):
             i = left[b - 1]
-            new[i - 1] = new[mates[i] - 1] = k + 1
+            new[i] = new[mate[i]] = k + 1
         return new
 
+    out = []
     for a, i in enumerate(signs):
-        k = before[i - 1]
+        k, s = before[i], entries[i]
         shifted = renumbered(k, len(left) + 1)
         for j in signs[a + 1 :]:
-            if entries[i - 1] != entries[j - 1]:
+            if entries[j] != s:
                 new = shifted.copy()
-                new[i - 1] = new[j - 1] = k + 1
-                yield PAIR_CREATION, i, j, tuple(new)
-    pair_positions = sorted(mates)
-    for v in pair_positions:
-        right = v > mates[v]
-        for u in signs:
-            if (u > v) == right:  # farther from the mate, on the same side
-                new = renumbered(before[u - 1], entries[v - 1])
-                new[u - 1], new[v - 1] = new[v - 1], new[u - 1]
-                yield ENDPOINT_SLIDE, min(u, v), max(u, v), tuple(new)
-    for u, v in combinations(pair_positions, 2):
-        if entries[u - 1] != entries[v - 1] and mates[u] < mates[v]:
-            y = max(u, mates[u])  # see the module docstring
-            z = v if y == u else mates[v]
-            new = renumbered(before[y - 1], entries[v - 1])
-            new[y - 1], new[z - 1] = new[z - 1], new[y - 1]
-            yield PAIR_EXCHANGE, u, v, tuple(new)
+                new[i] = new[j] = k + 1
+                out.append((PAIR_CREATION, i + 1, j + 1, tuple(new)))
+    for c, v in enumerate(ends):  # v - c signs lie before v
+        if v > mate[v]:  # a right endpoint slides right, opening nothing anew
+            for u in signs[v - c :]:
+                new = list(entries)
+                new[u], new[v] = new[v], new[u]
+                out.append((ENDPOINT_SLIDE, v + 1, u + 1, tuple(new)))
+            continue
+        for u in signs[: v - c]:
+            new = renumbered(before[u], entries[v])
+            new[u], new[v] = new[v], new[u]
+            out.append((ENDPOINT_SLIDE, u + 1, v + 1, tuple(new)))
+    for u, v in combinations(ends, 2):
+        if mate[u] < mate[v]:  # false when u and v are one pair's two ends
+            y, z = (u, v) if u > mate[u] else (mate[u], mate[v])  # see the module docstring
+            new = renumbered(before[y], entries[v])
+            new[y], new[z] = new[z], new[y]
+            out.append((PAIR_EXCHANGE, u + 1, v + 1, tuple(new)))
+    return out
 
 
 def moves(clan: Clan) -> list[Move]:
-    """Every single-move enlargement of the clan, in a deterministic order.
+    """Every single-move enlargement of the clan: pair creations by (i, j), then endpoint
+    slides by the pair entry's position and then the sign's, then pair exchanges by (u, v).
 
     Dimensions are not checked here; :func:`build_poset` checks each move edge.
     No result is validated or renumbered: the module docstring shows each is canonical.

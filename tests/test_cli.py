@@ -4,15 +4,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clans import _parallel
 from clans.cli import main
+
+#: The environment for a fresh interpreter: it imports clans from this checkout.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def run_main(capsys, *argv):
@@ -278,6 +283,7 @@ class TestUsage:
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "clans", "enumerate", "--p", "1", "--q", "1"],
+            env=SRC_ENV,
             capture_output=True,
             text=True,
         )
@@ -392,7 +398,7 @@ class TestDeterminismAcrossJobs:
         pool_modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
         code = f"import sys, clans.cli; print([m for m in {pool_modules!r} if m in sys.modules])"
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"

@@ -26,6 +26,7 @@ from clans import (
     export_tsv,
     format_clan,
     is_closed,
+    is_sign,
     moves,
     open_clan,
     parse_clan,
@@ -127,6 +128,44 @@ class TestMoves:
         # creations shift the numbers of later pairs and right endpoint slides
         # are plain swaps; both need clans with many pairs to be exercised
         assert_moves_match_naive_oracle(clan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_clans())
+    def test_moves_order(self, clan):
+        # creations by (i, j), slides by the pair entry's position and then
+        # the sign's, exchanges by (u, v)
+        kinds = (PAIR_CREATION, ENDPOINT_SLIDE, PAIR_EXCHANGE)
+        keys = []
+        for mv in moves(clan):
+            i, j = mv.positions
+            if mv.kind == ENDPOINT_SLIDE and not is_sign(clan.entries[j - 1]):
+                i, j = j, i
+            keys.append((kinds.index(mv.kind), i, j))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @staticmethod
+    def move_sequence_digest(sizes):
+        """sha256 over (kind, positions, result) of every move of every clan, in order."""
+        digest = hashlib.sha256()
+        for n in sizes:
+            for p in range(n + 1):
+                for clan in enumerate_clans(p, n - p):
+                    for mv in moves(clan):
+                        i, j = mv.positions
+                        digest.update(f"{mv.kind}\t{i},{j}\t{format_clan(mv.result)}\n".encode())
+        return digest.hexdigest()
+
+    def test_move_sequence_pinned_up_to_7(self):
+        # the order too: the oracle comparisons above compare multisets
+        assert self.move_sequence_digest(range(8)) == (
+            "ab5af952ff5984e96ea6a294d9628eb5ea0ab432622fc4e04ff11be941688ef9"
+        )
+
+    @pytest.mark.slow
+    def test_move_sequence_pinned_8(self):
+        assert self.move_sequence_digest([8]) == (
+            "34c80ebcf92019b375025c9d39ca0ea5a2112e8056b3691b9a55eaa2f9ea0899"
+        )
 
     @staticmethod
     def move_counts(p, q):
