@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, classify, poset, verify, stats.  All output is
 deterministic: identical flags give byte-identical bytes for any --jobs
-value.  Exit codes: 0 success, 1 check failure, 2 usage error.
+value.  Exit codes: 0 success, 1 check failure, 2 usage error.  Every usage
+error is one `error:` line on stderr, printed by `main` alone.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _OutputError(Exception):
-    """The --out file could not be written."""
+class _UsageError(Exception):
+    """A refused input: a bound exceeded or an --out file that cannot be written."""
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -117,34 +118,27 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w") as sink:
             sink.write(text)
     except OSError as exc:
-        raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
+        raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _refused(p: int, q: int, census: bool) -> bool:
+def _check_size(p: int, q: int, census: bool) -> None:
     """Refuse, before any work, clans too long or, for a census, too many."""
     if p + q > MAX_CLAN_LENGTH:
-        error = f"p+q={p + q} exceeds the clan length bound {MAX_CLAN_LENGTH}"
-    elif census and (total := count_clans(p, q)) > ENUMERATE_MAX_CLANS:
-        error = f"({p},{q}) has {total} clans, above the bound {ENUMERATE_MAX_CLANS}"
-    else:
-        return False
-    print(f"error: {error}", file=sys.stderr)
-    return True
+        raise _UsageError(f"p+q={p + q} exceeds the clan length bound {MAX_CLAN_LENGTH}")
+    if census and (total := count_clans(p, q)) > ENUMERATE_MAX_CLANS:
+        raise _UsageError(f"({p},{q}) has {total} clans, above the bound {ENUMERATE_MAX_CLANS}")
 
 
-def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool]] | None:
-    """The clans of (p, q) and their smoothness verdicts, or None if refused."""
-    if _refused(args.p, args.q, census=True):
-        return None
+def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool]]:
+    """The clans of (p, q) and their smoothness verdicts."""
+    _check_size(args.p, args.q, census=True)
     clans = enumerate_clans(args.p, args.q)
     return clans, ordered_map(is_rationally_smooth, clans, args.jobs)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if (census := _census(args)) is None:
-        return 2
     keys = ("clan", "dim", "closed", "rationally_smooth")
-    rows = ((format_clan(c), dimension(c), is_closed(c), ok) for c, ok in zip(*census))
+    rows = ((format_clan(c), dimension(c), is_closed(c), ok) for c, ok in zip(*_census(args)))
     if args.format == "json":
         text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2)
     else:
@@ -159,8 +153,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    if _refused(args.p, args.q, census=False):
-        return 2
+    _check_size(args.p, args.q, census=False)
     clan = parse_clan(args.clan, args.p, args.q)
     verdict = classify(clan)
     _emit(json.dumps(verdict_json(verdict), indent=2) + "\n", args.out)
@@ -176,17 +169,14 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n > VERIFY_MAX_N:
-        print(f"error: --max-n {args.max_n} exceeds the bound {VERIFY_MAX_N}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--max-n {args.max_n} exceeds the bound {VERIFY_MAX_N}")
     results, statistic = run_checks(max_n=args.max_n, jobs=args.jobs)
     _emit("\n".join(report_lines(results, statistic)) + "\n", args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if (census := _census(args)) is None:
-        return 2
-    clans, smooth = census
+    clans, smooth = _census(args)
     histogram = Counter(dimension(c) for c in clans)
     total = len(clans)
     closed = sum(1 for c in clans if is_closed(c))
@@ -218,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ClanError, PosetSizeError, _OutputError) as exc:
+    except (ClanError, PosetSizeError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

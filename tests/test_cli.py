@@ -85,6 +85,26 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, where):
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--p", "9", "--q", "9"],
+        ["stats", "--p", "9", "--q", "9"],
+        ["classify", "--p", "17", "--q", "17", "--clan", "x"],
+        ["verify", "--max-n", "9"],
+        ["poset", "--p", "5", "--q", "5"],
+    ],
+    ids=["enumerate", "stats", "classify", "verify", "poset"],
+)
+def test_refusal_writes_no_out_file(capsys, tmp_path, argv):
+    # every refusal comes before any output, so --out is never created
+    target = tmp_path / "out"
+    code, out, err = run_main(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_census_pinned_4_4(capsys):
     # enumerate and stats bytes at (4,4); the benchmark's census55 run checks (5,5)
     pinned = {
@@ -183,9 +203,10 @@ class TestPoset:
         assert len(out.strip().split("\n")) == 7
 
     def test_bound_refused(self, capsys):
-        code, _, err = run_main(capsys, "poset", "--p", "5", "--q", "5")
+        code, out, err = run_main(capsys, "poset", "--p", "5", "--q", "5")
         assert code == 2
-        assert "size bound" in err
+        assert out == ""
+        assert err == "error: p+q=10 exceeds the size bound 9\n"
 
 
 class TestVerify:
@@ -212,8 +233,10 @@ class TestVerify:
         assert "1,2,2,3,3,1" in failing[0]
 
     def test_max_n_bound(self, capsys):
-        code, _, err = run_main(capsys, "verify", "--max-n", "9")
+        code, out, err = run_main(capsys, "verify", "--max-n", "9")
         assert code == 2
+        assert out == ""
+        assert err == "error: --max-n 9 exceeds the bound 8\n"
 
 
 class TestStats:
@@ -293,8 +316,10 @@ class TestUsage:
 
 #: argv fragments: flags with a value, clan texts valid and not, junk.
 #: `--out` is left out (it writes files) and `--jobs` only ever takes 1, so
-#: no example starts a process pool.
+#: no example starts a process pool.  `--p` and `--max-n` may be 40, which
+#: every command refuses by a bound before any work.
 small_ints = st.integers(0, 3).map(str)
+over_bound = st.one_of(small_ints, st.just("40"))
 clan_texts = st.sampled_from(
     ["1,+,-,1", "1,2,2,1", "+,-", "1+1-", "1,1", "1,1,1", "0,+,0,-", "1,²,1,+", ""]
 )
@@ -307,21 +332,21 @@ loose_tokens = st.one_of(
     ),
 )
 argv_pieces = st.one_of(
-    st.tuples(st.just("--p"), small_ints),
+    st.tuples(st.just("--p"), over_bound),
     st.tuples(st.just("--q"), small_ints),
     st.tuples(st.just("--format"), st.sampled_from(["tsv", "dot", "json", "x"])),
     st.tuples(st.just("--clan"), clan_texts),
-    st.tuples(st.just("--max-n"), small_ints),
+    st.tuples(st.just("--max-n"), over_bound),
     st.just(("--jobs", "1")),
     loose_tokens.map(lambda token: (token,)),
 )
-signatures = st.tuples(small_ints, small_ints).map(lambda pq: ["--p", pq[0], "--q", pq[1]])
+signatures = st.tuples(over_bound, small_ints).map(lambda pq: ["--p", pq[0], "--q", pq[1]])
 commands = st.one_of(
     st.tuples(st.sampled_from(["enumerate", "poset", "stats"]), signatures).map(
         lambda t: [t[0], *t[1]]
     ),
     st.tuples(signatures, clan_texts).map(lambda t: ["classify", *t[0], "--clan", t[1]]),
-    small_ints.map(lambda n: ["verify", "--max-n", n]),
+    over_bound.map(lambda n: ["verify", "--max-n", n]),
     st.sampled_from(["enumerate", "classify", "poset", "verify", "stats", "x"]).map(
         lambda name: [name]
     ),
@@ -341,8 +366,11 @@ def test_fuzzed_argv_ends_in_an_exit_code(argv):
         except SystemExit as exc:  # argparse rejects the usage
             assert exc.code == 2, argv
             return
+    lines = err.getvalue().splitlines()
     assert code in (0, 1, 2), argv
-    assert len(err.getvalue().splitlines()) <= 1, argv
+    assert len(lines) <= 1, argv
+    # exit 2 iff main printed its one error line
+    assert (code == 2) == (lines != [] and lines[0].startswith("error: ")), argv
 
 
 class TestDeterminismAcrossJobs:
