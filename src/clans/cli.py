@@ -107,18 +107,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _UsageError(Exception):
-    """A refused input: a bound exceeded or an --out file that cannot be written."""
+    """A refused input: a bound exceeded or an output that cannot be written."""
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out, "w") as sink:
-            sink.write(text)
+        if out is not None:
+            with open(out, "w") as sink:
+                sink.write(text)
+        elif sys.stdout is None:  # the process started with stdout closed
+            raise _UsageError("cannot write stdout: it is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full device fails here, not in the exit-time flush
     except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+        where = "stdout" if out is None else out
+        raise _UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def _check_size(p: int, q: int, census: bool) -> None:

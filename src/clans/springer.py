@@ -3,9 +3,9 @@
 Any two opposite signs in a closed clan may be replaced by a fresh pair; this
 is the action of a noncompact reflection and moves the closed orbit up to an
 orbit whose clan has exactly one pair.  Fix a target orbit.  Each closed
-orbit below it gets a budget, the target's dimension above the closed-orbit
-dimension, and a count, the number of reflections whose image still lies
-below the target.  A count strictly exceeding the budget rules out rational
+orbit below it gets a budget, the target's dimension minus the closed orbit's,
+and a count, the number of reflections whose image still lies below the
+target.  A count strictly exceeding the budget rules out rational
 smoothness.
 
 The diagnosis sweeps every closed orbit below the target.  Collapsing an
@@ -30,15 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (
-    MINUS,
-    PLUS,
-    Clan,
-    ClanError,
-    base_dimension,
-    canonicalize,
-    format_clan,
-)
+from .core import MINUS, PLUS, Clan, ClanError, canonicalize, format_clan
 from .poset import OrbitPoset
 
 #: A closed orbit disqualifies the target only when its count strictly
@@ -46,7 +38,7 @@ from .poset import OrbitPoset
 EXCEEDS_BUDGET = operator.gt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReflectionWitness:
     """Counting record for one (closed orbit, target) pair."""
 
@@ -57,12 +49,19 @@ class ReflectionWitness:
     hits: tuple[tuple[int, int], ...]
 
 
+# The slots' own setters skip the frozen ``__setattr__``, as Clan's do in clans.core.
+_set_closed, _set_target, _set_budget, _set_count, _set_hits = (
+    vars(ReflectionWitness)[name].__set__ for name in ReflectionWitness.__slots__
+)
+
+
 def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionWitness:
     """Count the reflections sending the closed orbit below the target.
 
-    Raises ClanError unless both clans are elements of the poset and
-    ``closed`` is closed and lies below the target.  Closedness is checked
-    once, by the diagnosis table behind :meth:`OrbitPoset.closed_leq`.
+    The budget is the target's dimension minus the closed orbit's.  Raises
+    ClanError unless both clans are elements of the poset and ``closed`` is
+    closed and lies below the target.  Closedness is checked once, by the
+    diagnosis table behind :meth:`OrbitPoset.closed_leq`.
 
     >>> from clans import build_poset, parse_clan
     >>> closed, target = parse_clan("+,+,-,-", 2, 2), parse_clan("1,+,-,1", 2, 2)
@@ -76,9 +75,14 @@ def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionW
         raise ClanError(
             f"closed clan {format_clan(closed)} does not lie below {format_clan(target)}"
         )
-    budget = poset.dims[t] - base_dimension(poset.p, poset.q)
     hits = poset.reflection_hits(c, t)
-    return ReflectionWitness(closed, target, budget, len(hits), hits)
+    witness = object.__new__(ReflectionWitness)
+    _set_closed(witness, closed)
+    _set_target(witness, target)
+    _set_budget(witness, poset.dims[t] - poset.dims[c])
+    _set_count(witness, len(hits))
+    _set_hits(witness, hits)
+    return witness
 
 
 def springer_diagnosis(poset: OrbitPoset, target: Clan) -> Optional[ReflectionWitness]:

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -290,6 +291,27 @@ class TestClanCountBound:
         assert out == ""
         n = int(p) + int(q)
         assert err == f"error: p+q={n} exceeds the clan length bound 32\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "command, redirect, reason",
+    [
+        ("enumerate --p 2 --q 2", ">/dev/full", os.strerror(errno.ENOSPC)),
+        ("poset --p 4 --q 4", ">&-", "it is closed"),
+    ],
+    ids=["full-device", "closed"],
+)
+def test_unwritable_stdout_is_usage_error(command, redirect, reason):
+    # one error line and exit 2; the exit-time flush of stdout adds no second error
+    result = subprocess.run(
+        ["sh", "-c", f'"$0" -m clans {command} {redirect}', sys.executable],
+        env=SRC_ENV,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write stdout: {reason}\n"
 
 
 class TestUsage:

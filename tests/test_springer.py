@@ -3,6 +3,8 @@
 import hashlib
 import json
 import operator
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -11,6 +13,7 @@ from clans import (
     Clan,
     ClanError,
     FORBIDDEN_PATTERNS,
+    ReflectionWitness,
     apply_reflection,
     base_dimension,
     build_poset,
@@ -166,6 +169,25 @@ class TestSpringerCount:
                             with pytest.raises(ClanError) as info:
                                 springer_count(poset, elements[c], target)
                             assert str(info.value) == message
+
+    def test_witnesses_are_slotted_picklable_and_frozen(self):
+        # springer_count fills the slots without __init__; the record must
+        # still be the dataclass that __init__ would build
+        poset = oracles.get_poset(3, 3)
+        elements = poset.elements
+        for t, target in enumerate(elements):
+            for c in poset.closed_below_indices(t):
+                witness = springer_count(poset, elements[c], target)
+                assert not hasattr(witness, "__dict__")
+                with pytest.raises(FrozenInstanceError):
+                    witness.count = 0
+                copy = pickle.loads(pickle.dumps(witness))
+                assert copy == witness and hash(copy) == hash(witness)
+                built = ReflectionWitness(
+                    witness.closed, witness.target, witness.budget, witness.count, witness.hits
+                )
+                assert built == witness and hash(built) == hash(witness)
+                assert repr(built) == repr(witness)
 
     def test_json(self):
         poset = oracles.get_poset(2, 2)
