@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -121,6 +122,8 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()  # a full device fails here, not in the exit-time flush
     except OSError as exc:
+        if out is None:  # the exit-time flush would retry the kept bytes and fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "stdout" if out is None else out
         raise _UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
 

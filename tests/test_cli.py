@@ -294,6 +294,7 @@ class TestClanCountBound:
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "command, redirect, reason",
     [
@@ -302,16 +303,35 @@ class TestClanCountBound:
     ],
     ids=["full-device", "closed"],
 )
-def test_unwritable_stdout_is_usage_error(command, redirect, reason):
+def test_unwritable_stdout_is_usage_error(command, redirect, reason, unbuffered):
     # one error line and exit 2; the exit-time flush of stdout adds no second error
     result = subprocess.run(
         ["sh", "-c", f'"$0" -m clans {command} {redirect}', sys.executable],
-        env=SRC_ENV,
+        env=dict(SRC_ENV, PYTHONUNBUFFERED=unbuffered),
         capture_output=True,
         text=True,
     )
     assert result.returncode == 2
     assert result.stderr == f"error: cannot write stdout: {reason}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_broken_pipe_stdout_is_usage_error(unbuffered):
+    # the pipe's read end is closed before the command starts, so its write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "clans", "enumerate", "--p", "2", "--q", "2"],
+            env=dict(SRC_ENV, PYTHONUNBUFFERED=unbuffered),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
 
 
 class TestUsage:
