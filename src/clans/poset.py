@@ -203,11 +203,11 @@ class OrbitPoset:
     order; closedness is :func:`~clans.core.is_closed`, the package's one
     test of it.  The second table holds each element's down-set restricted
     to S, the (a, b) of each one-pair clan, and for each closed element its
-    own S bit and the S-mask of its reflection images.  It is also what
-    rejects a clan that is not closed: an index missing from it raises
-    :class:`~clans.core.ClanError`.  Apart from the two tables, instances
-    are immutable once constructed and safe to share; build with
-    :func:`build_poset`.
+    own S bit and the S-mask of its reflection images.  An index missing
+    from it is not closed and raises :class:`~clans.core.ClanError`; the
+    diagnosis meets that in :meth:`reflection_hits` and asks :meth:`closed_leq`
+    only when there is no hit.  Apart from the two tables, instances are
+    immutable once constructed and safe to share; build with :func:`build_poset`.
 
     >>> from clans.core import parse_clan
     >>> poset = build_poset(2, 2)
@@ -311,7 +311,10 @@ class OrbitPoset:
     def closed_below_indices(self, i: int) -> Iterator[int]:
         """Indices of the closed elements below element i, ascending (token order)."""
         order, down, closed, _, _ = self._diagnosis
-        return map(order.__getitem__, _bits(down[i] & closed))
+        mask = down[i] & closed
+        while mask:
+            yield order[(low := mask & -mask).bit_length() - 1]
+            mask ^= low
 
     def closed_leq(self, c: int, t: int) -> bool:
         """Does closed element c lie below element t?"""

@@ -59,9 +59,9 @@ def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionW
     """Count the reflections sending the closed orbit below the target.
 
     The budget is the target's dimension minus the closed orbit's.  Raises
-    ClanError unless both clans are elements of the poset and ``closed`` is
-    closed and lies below the target.  Closedness is checked once, by the
-    diagnosis table behind :meth:`OrbitPoset.closed_leq`.
+    ClanError unless both clans are poset elements and ``closed`` is closed and
+    below the target.  The table behind :meth:`OrbitPoset.reflection_hits` checks
+    closedness; containment is asked only with no hit: a hit is one move above it.
 
     >>> from clans import build_poset, parse_clan
     >>> closed, target = parse_clan("+,+,-,-", 2, 2), parse_clan("1,+,-,1", 2, 2)
@@ -71,11 +71,11 @@ def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionW
     """
     c = poset.index_of(closed)
     t = poset.index_of(target)
-    if not poset.closed_leq(c, t):
+    hits = poset.reflection_hits(c, t)
+    if not hits and not poset.closed_leq(c, t):
         raise ClanError(
             f"closed clan {format_clan(closed)} does not lie below {format_clan(target)}"
         )
-    hits = poset.reflection_hits(c, t)
     witness = object.__new__(ReflectionWitness)
     _set_closed(witness, closed)
     _set_target(witness, target)

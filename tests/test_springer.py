@@ -170,6 +170,22 @@ class TestSpringerCount:
                                 springer_count(poset, elements[c], target)
                             assert str(info.value) == message
 
+    def test_hits_imply_below_up_to_n6(self):
+        # springer_count asks closed_leq only when there is no hit: each image
+        # is one move above the closed clan, so a hit puts the clan below
+        for n in range(1, 7):
+            for p in range(n + 1):
+                poset = oracles.get_poset(p, n - p)
+                closed = [c for c, clan in enumerate(poset.elements) if is_closed(clan)]
+                for t in range(len(poset)):
+                    below = poset.down_mask(t)
+                    for c in closed:
+                        hits = poset.reflection_hits(c, t)
+                        if not below >> c & 1:
+                            assert hits == ()
+                        if hits:
+                            assert poset.closed_leq(c, t)
+
     def test_witnesses_are_slotted_picklable_and_frozen(self):
         # springer_count fills the slots without __init__; the record must
         # still be the dataclass that __init__ would build
