@@ -185,27 +185,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     clans, smooth = _census(args)
     histogram = Counter(dimension(c) for c in clans)
-    total = len(clans)
-    closed = sum(1 for c in clans if is_closed(c))
     smooth_count = sum(1 for ok in smooth if ok)
+    totals = {
+        "clans": len(clans),
+        "closed": sum(1 for c in clans if is_closed(c)),
+        "smooth": smooth_count,
+        "singular": len(clans) - smooth_count,
+    }
     if args.format == "json":
-        doc = {
-            "clans": total,
-            "closed": closed,
-            "smooth": smooth_count,
-            "singular": total - smooth_count,
-            "dimension_histogram": {str(d): histogram[d] for d in sorted(histogram)},
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        totals["dimension_histogram"] = {str(d): histogram[d] for d in sorted(histogram)}
+        _emit(json.dumps(totals, indent=2) + "\n", args.out)
     else:
-        lines = [
-            f"clans\t{total}",
-            f"closed\t{closed}",
-            f"smooth\t{smooth_count}",
-            f"singular\t{total - smooth_count}",
-        ]
-        for d in sorted(histogram):
-            lines.append(f"dim_{d}\t{histogram[d]}")
+        lines = [f"{name}\t{count}" for name, count in totals.items()]
+        lines += [f"dim_{d}\t{histogram[d]}" for d in sorted(histogram)]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -195,19 +195,21 @@ class OrbitPoset:
     The first holds one down-set bitmask per element and the Hasse covers,
     so :meth:`leq` is one bit test once it is built and :meth:`upper_set`
     scans the down-sets.  The index-level accessors (:meth:`down_mask`,
-    :meth:`closed_below_indices`, :meth:`closed_leq`,
-    :meth:`reflection_hits`, :meth:`reflection_count`) answer the same
-    questions by element index without hashing clans.  All but the first
-    read the second table, which is all that the diagnosis asks about.  S
-    is the closed elements in token order, then the one-pair clans in token
-    order; closedness is :func:`~clans.core.is_closed`, the package's one
-    test of it.  The second table holds each element's down-set restricted
-    to S, the (a, b) of each one-pair clan, and for each closed element its
-    own S bit and the S-mask of its reflection images.  An index missing
-    from it is not closed and raises :class:`~clans.core.ClanError`; the
-    diagnosis meets that in :meth:`reflection_hits` and asks :meth:`closed_leq`
-    only when there is no hit.  Apart from the two tables, instances are
-    immutable once constructed and safe to share; build with :func:`build_poset`.
+    :meth:`closed_below_indices`, :meth:`reflection_hits`,
+    :meth:`reflection_count`) answer the same questions by element index
+    without hashing clans.  All but the first read the second table, which
+    is all that the diagnosis asks about.  S is the closed elements in token
+    order, then the one-pair clans in token order; closedness is
+    :func:`~clans.core.is_closed`, the package's one test of it.  The second
+    table holds each element's down-set restricted to S, the (a, b) of each
+    one-pair clan, and for each closed element the S-mask of its reflection
+    images.  An index missing from it is not closed and raises
+    :class:`~clans.core.ClanError`.  A closed clan has no pairs, so its only
+    moves are pair creations, which are its reflection images; as the order
+    is move-generated, a closed element lies below t iff it is t or one of
+    its images lies below t.  Apart from the two tables, instances are
+    immutable once constructed and safe to share; build with
+    :func:`build_poset`.
 
     >>> from clans.core import parse_clan
     >>> poset = build_poset(2, 2)
@@ -310,21 +312,16 @@ class OrbitPoset:
 
     def closed_below_indices(self, i: int) -> Iterator[int]:
         """Indices of the closed elements below element i, ascending (token order)."""
-        order, down, closed, _, _ = self._diagnosis
-        mask = down[i] & closed
+        closed, down, below, _, _ = self._diagnosis
+        mask = down[i] & below
         while mask:
-            yield order[(low := mask & -mask).bit_length() - 1]
+            yield closed[(low := mask & -mask).bit_length() - 1]
             mask ^= low
-
-    def closed_leq(self, c: int, t: int) -> bool:
-        """Does closed element c lie below element t?"""
-        _, down, _, _, images = self._diagnosis
-        return bool(down[t] & images[c][0])
 
     def reflection_hits(self, c: int, t: int) -> tuple[tuple[int, int], ...]:
         """(a, b) of each reflection of closed element c whose image lies below element t."""
         _, down, _, pairs, images = self._diagnosis
-        mask = down[t] & images[c][1]
+        mask = down[t] & images[c]
         hits = []
         while mask:  # from the highest S position down: see _diagnosis
             s = mask.bit_length() - 1
@@ -335,12 +332,12 @@ class OrbitPoset:
     def reflection_count(self, c: int, t: int) -> int:
         """How many reflection images of closed element c lie below element t."""
         _, down, _, _, images = self._diagnosis
-        return (down[t] & images[c][1]).bit_count()
+        return (down[t] & images[c]).bit_count()
 
     @cached_property
     def _diagnosis(self) -> tuple:
-        """(S order, S-masked down-sets, closed S-mask, (a, b) per one-pair S
-        position, per closed index its own S bit and its images' S-mask).
+        """(closed element indices, S-masked down-sets, closed S-mask, (a, b)
+        per one-pair S position, per closed index its images' S-mask).
 
         One pass over the elements sorts out S: :func:`~clans.core.is_closed`
         picks the closed ones, and a clan that is not closed has one pair iff
@@ -375,12 +372,12 @@ class OrbitPoset:
                 down[j] |= down[i]
         pairs = [None] * len(closed) + [elements[k].pairs[0] for k in one_pair]
         images = _ClosedTable(elements)
-        for s, k in enumerate(closed):
+        for k in closed:
             c, mask = elements[k], 0
             for a, b in noncompact_reflections(c):
                 mask |= 1 << position[index[apply_reflection(c, a, b).entries]]
-            images[k] = (1 << s, mask)
-        return order, down, (1 << len(closed)) - 1, pairs, images
+            images[k] = mask
+        return closed, down, (1 << len(closed)) - 1, pairs, images
 
     def hasse_covers(self) -> list[tuple[Clan, Clan]]:
         """Transitive-reduction edges (lower, upper), by element index."""

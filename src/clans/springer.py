@@ -61,7 +61,8 @@ def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionW
     The budget is the target's dimension minus the closed orbit's.  Raises
     ClanError unless both clans are poset elements and ``closed`` is closed and
     below the target.  The table behind :meth:`OrbitPoset.reflection_hits` checks
-    closedness; containment is asked only with no hit: a hit is one move above it.
+    closedness.  A closed clan's only moves are its reflection images, so it lies
+    below the target iff it is the target or has a hit.
 
     >>> from clans import build_poset, parse_clan
     >>> closed, target = parse_clan("+,+,-,-", 2, 2), parse_clan("1,+,-,1", 2, 2)
@@ -72,7 +73,7 @@ def springer_count(poset: OrbitPoset, closed: Clan, target: Clan) -> ReflectionW
     c = poset.index_of(closed)
     t = poset.index_of(target)
     hits = poset.reflection_hits(c, t)
-    if not hits and not poset.closed_leq(c, t):
+    if not hits and c != t:  # no move up from c stays below t
         raise ClanError(
             f"closed clan {format_clan(closed)} does not lie below {format_clan(target)}"
         )

@@ -463,6 +463,14 @@ class TestDeterminismAcrossJobs:
         assert _parallel.ordered_map(abs, [-1], 100000) == [1]
         assert requested == [4, 3]
 
+    def test_negative_jobs_refused_before_any_pool(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=r"^jobs must be >= 0$"):
+            _parallel.ordered_map(abs, [1], -1)
+
     def test_cli_import_loads_no_pool(self):
         # a fresh interpreter, since this one may have imported them already
         pool_modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")

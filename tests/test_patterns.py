@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from clans import (
 )
 
 import oracles
+from clans import patterns
 from clans.patterns import _decompose
 
 
@@ -192,6 +194,39 @@ class TestCertificates:
         cert = build_certificate(parse_clan("1,1,2,2", 2, 2))
         assert not verify_certificate(parse_clan("1,2,2,1", 2, 2), cert)
 
+    def test_verify_rejects_a_pair_straddling_a_node(self):
+        # 1,3 are mates, so the block is accepted; pair (2,4) leaves it
+        clan = parse_clan("1,2,1,2", 2, 2)
+        bad = BlockSplit(1, 4, (OuterStrip(1, 3, ClosedLeaf(2, 2)), ClosedLeaf(4, 4)))
+        assert not verify_certificate(clan, bad)
+
+    def test_verify_rejects_a_non_leaf_on_an_empty_range(self):
+        clan = parse_clan("+,-", 1, 1)
+        bad = SignDelete(1, 2, 1, OuterStrip(1, 0, ClosedLeaf(2, -1)), ClosedLeaf(2, 2))
+        assert not verify_certificate(clan, bad)
+
+    def test_verify_rejects_a_sign_delete_off_the_signs(self):
+        out_of_range = SignDelete(1, 2, 3, ClosedLeaf(1, 2), ClosedLeaf(4, 2))
+        assert not verify_certificate(parse_clan("+,-", 1, 1), out_of_range)
+        on_a_pair = SignDelete(1, 2, 1, ClosedLeaf(1, 0), ClosedLeaf(2, 2))
+        assert not verify_certificate(parse_clan("1,1", 1, 1), on_a_pair)
+
+    def test_verify_rejects_a_sign_delete_inside_a_pair(self):
+        clan = parse_clan("1,+,1,-", 2, 2)
+        bad = SignDelete(1, 4, 2, ClosedLeaf(1, 1), ClosedLeaf(3, 4))
+        assert not verify_certificate(clan, bad)
+
+    def test_verify_rejects_a_block_out_of_place(self):
+        clan = parse_clan("1,1,2,2", 2, 2)
+        first = OuterStrip(1, 2, ClosedLeaf(2, 1))
+        second = OuterStrip(3, 4, ClosedLeaf(4, 3))
+        assert verify_certificate(clan, BlockSplit(1, 4, (first, second)))
+        assert not verify_certificate(clan, BlockSplit(1, 4, (second, first)))
+
+    def test_verify_rejects_an_unknown_node(self):
+        clan = parse_clan("+,-", 1, 1)
+        assert not verify_certificate(clan, SimpleNamespace(start=1, end=2))
+
 
 def certificate_digest(lengths):
     """(sound clans, sha256 over each clan's certificate or violation).
@@ -254,6 +289,21 @@ class TestClassify:
         verdict = classify(parse_clan("1,+,2,2,1", 3, 2))
         assert not verdict.rationally_smooth
         assert format_clan(verdict.witness_pattern) == "1,+,2,2,1"
+
+    def test_avoider_failing_the_structural_check_aborts(self, monkeypatch):
+        # only reachable if avoidance and the structural check disagree
+        crossing = parse_clan("1,2,1,2", 2, 2)
+        real = patterns.includes_any
+        monkeypatch.setattr(
+            patterns, "includes_any", lambda clan: None if clan == crossing else real(clan)
+        )
+        with pytest.raises(RuntimeError) as info:
+            classify(crossing)
+        assert str(info.value) == (
+            "clan 1,2,1,2 avoids all seven patterns yet fails the structural check "
+            "(StructuralViolation(rule='crossing-pairs', pairs=((1, 3), (2, 4)), signs=())); "
+            "the smoothness criteria disagree"
+        )
 
     def test_agreement_of_pattern_structural_certificate(self):
         # three of the four criteria agree everywhere (reflection counting is

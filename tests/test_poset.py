@@ -211,6 +211,16 @@ class TestBuildPoset:
         with pytest.raises(PosetSizeError, match=r"^p\+q=10 exceeds the size bound 9$"):
             build_poset(5, 5)
 
+    def test_maximum_refuses_two_tops(self):
+        # drop the move +,- -> 1,1: +,- is left without successors beside 1,1
+        poset = oracles.get_poset(1, 1)
+        succ = list(poset.succ)
+        succ[poset.index_of(parse_clan("+,-", 1, 1))] = ()
+        two_tops = OrbitPoset(1, 1, poset.elements, poset.dims, tuple(succ))
+        message = r"^\(1,1\) poset has 2 top elements, expected one$"
+        with pytest.raises(RuntimeError, match=message):
+            two_tops.maximum()
+
     def test_maximum_unique_and_extremes(self):
         for n in range(1, 7):
             for p in range(n + 1):

@@ -170,21 +170,18 @@ class TestSpringerCount:
                                 springer_count(poset, elements[c], target)
                             assert str(info.value) == message
 
-    def test_hits_imply_below_up_to_n6(self):
-        # springer_count asks closed_leq only when there is no hit: each image
-        # is one move above the closed clan, so a hit puts the clan below
-        for n in range(1, 7):
+    def test_closed_lies_below_iff_target_or_hit_up_to_n7(self):
+        # springer_count refuses "below" only on no hit and c != t: a closed
+        # clan's moves are its reflection images, so below t means t or a hit
+        for n in range(1, 8):
             for p in range(n + 1):
                 poset = oracles.get_poset(p, n - p)
                 closed = [c for c, clan in enumerate(poset.elements) if is_closed(clan)]
                 for t in range(len(poset)):
                     below = poset.down_mask(t)
                     for c in closed:
-                        hits = poset.reflection_hits(c, t)
-                        if not below >> c & 1:
-                            assert hits == ()
-                        if hits:
-                            assert poset.closed_leq(c, t)
+                        hit = bool(poset.reflection_hits(c, t))
+                        assert bool(below >> c & 1) == (c == t or hit)
 
     def test_witnesses_are_slotted_picklable_and_frozen(self):
         # springer_count fills the slots without __init__; the record must
@@ -333,7 +330,6 @@ class TestDiagnosisTable:
         calls = (
             lambda: poset.reflection_hits(i, t),
             lambda: poset.reflection_count(i, t),
-            lambda: poset.closed_leq(i, t),
         )
         for call in calls:
             with pytest.raises(ClanError, match=r"^clan 1,\+,-,1 is not closed$"):

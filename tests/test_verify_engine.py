@@ -102,6 +102,41 @@ def test_move_monotonicity_names_a_non_increasing_edge(monkeypatch):
     ]
 
 
+def _dimensions_failures(monkeypatch, text, dim):
+    """FAIL dimensions lines of ``run_checks(max_n=4)`` with one (2,2) dimension edited."""
+    real_build = verify.build_poset
+
+    def build_with_edited_dim(p, q, **kwargs):
+        poset = real_build(p, q, **kwargs)
+        if (p, q) != (2, 2):
+            return poset
+        dims = list(poset.dims)
+        dims[poset.index_of(parse_clan(text, 2, 2))] = dim
+        return OrbitPoset(p, q, poset.elements, tuple(dims), poset.succ)
+
+    monkeypatch.setattr(verify, "build_poset", build_with_edited_dim)
+    lines = report_lines(*run_checks(max_n=4))
+    return [line for line in lines if line.startswith("FAIL dimensions")]
+
+
+def test_dimensions_names_a_dimension_outside_the_range(monkeypatch):
+    assert _dimensions_failures(monkeypatch, "1,2,2,1", 7) == [
+        "FAIL dimensions p=2 q=2: 1,2,2,1 has dimension 7 outside [2,6]"
+    ]
+
+
+def test_dimensions_names_a_closed_clan_off_the_base(monkeypatch):
+    assert _dimensions_failures(monkeypatch, "+,+,-,-", 3) == [
+        "FAIL dimensions p=2 q=2: +,+,-,-: dimension 3 vs closedness mismatch"
+    ]
+
+
+def test_dimensions_names_a_second_clan_at_the_top(monkeypatch):
+    assert _dimensions_failures(monkeypatch, "1,2,1,2", 6) == [
+        "FAIL dimensions p=2 q=2: 1,2,1,2: dimension 6 vs open clan mismatch"
+    ]
+
+
 def test_structural_check_runs_once_per_clan(monkeypatch):
     calls = []
     check = patterns.structural_check
