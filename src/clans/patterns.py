@@ -134,6 +134,7 @@ def is_rationally_smooth(clan: Clan) -> bool:
     return includes_any(clan) is None
 
 
+_SIGNS = frozenset((PLUS, MINUS))
 CROSSING_PAIRS = "crossing-pairs"
 MIXED_SIGNS = "mixed-signs"
 SIGN_OUTSIDE_INNER_PAIR = "sign-outside-inner-pair"
@@ -289,20 +290,22 @@ def verify_certificate(clan: Clan, cert: Certificate) -> bool:
     entries = clan.entries
 
     def valid(node: Certificate, s: int, e: int) -> bool:
-        if (node.start, node.end) != (s, e):
+        if node.start != s or node.end != e:
             return False
-        if any((s <= a <= e) != (s <= b <= e) for a, b in pairs):
-            return False
+        for a, b in pairs:
+            if (s <= a <= e) != (s <= b <= e):
+                return False
         if isinstance(node, ClosedLeaf):
-            return all(is_sign(entries[k - 1]) for k in range(s, e + 1))
+            return _SIGNS.issuperset(entries[s - 1 : e])  # s >= 1 at every node
         if s > e:
             return False  # only a leaf may cover an empty range
         if isinstance(node, SignDelete):
             k = node.position
             if not s <= k <= e or not is_sign(entries[k - 1]):
                 return False
-            if any(a < k < b for a, b in pairs if s <= a and b <= e):
-                return False
+            for a, b in pairs:
+                if s <= a < k < b <= e:
+                    return False
             return valid(node.left, s, k - 1) and valid(node.right, k + 1, e)
         if isinstance(node, BlockSplit):
             if len(node.children) < 2:

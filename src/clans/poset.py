@@ -198,8 +198,9 @@ class OrbitPoset:
     :meth:`closed_below_indices`, :meth:`reflection_hits`,
     :meth:`reflection_count`) answer the same questions by element index
     without hashing clans.  All but the first read the second table, which
-    is all that the diagnosis asks about.  S is the closed elements in token
-    order, then the one-pair clans in token order; closedness is
+    is all that the diagnosis asks about; ``verify`` reads it directly for
+    its budget statistic.  S is the closed elements in token order, then the
+    one-pair clans in token order; closedness is
     :func:`~clans.core.is_closed`, the package's one test of it.  The second
     table holds each element's down-set restricted to S, the (a, b) of each
     one-pair clan, and for each closed element the S-mask of its reflection

@@ -17,7 +17,6 @@ __all__ = [
     "run_checks",
 ]
 
-import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -51,7 +50,7 @@ class BudgetStatistic:
     """How often the reflection count reaches the budget (informational).
 
     Of the ``pairs`` (closed, target) pairs with closed below target,
-    ``at_least`` reach it; each count is one ``OrbitPoset.reflection_count``.
+    ``at_least`` reach it; each count is read off ``OrbitPoset``'s S table.
     """
 
     pairs: int = 0
@@ -144,22 +143,21 @@ def _signature_checks(
     # monotonicity.  The order is the reflexive-transitive closure of the move
     # edges and componentwise domination is reflexive and transitive, so
     # checking every move edge checks every relation.
-    counts = []
-    for c in elements:
-        signature = prefix_signature(c)
-        counts.append(signature.plus + signature.minus)
+    packed, guard = _packed_prefix_counts(elements, n)
     edges = 0
     rise_bad = prefix_bad = ""
     for i, upper_indices in enumerate(poset.succ):
         edges += len(upper_indices)
-        lower = counts[i]
+        lower, dim = packed[i] | guard, dims[i]
         for j in upper_indices:
-            if not rise_bad and dims[j] <= dims[i]:
+            if not rise_bad and dims[j] <= dim:
                 rise_bad = (
                     f"move {format_clan(elements[i])} -> {format_clan(elements[j])} "
-                    f"takes the dimension from {dims[i]} to {dims[j]}"
+                    f"takes the dimension from {dim} to {dims[j]}"
                 )
-            if not prefix_bad and any(map(operator.lt, lower, counts[j])):
+            # counts are at most n < 128, so no byte borrows; a guard bit goes
+            # exactly where a count of the lower clan is below the upper one's
+            if not prefix_bad and (lower - packed[j]) & guard != guard:
                 prefix_bad = (
                     f"move {format_clan(elements[i])} -> "
                     f"{format_clan(elements[j])} violates prefix-count monotonicity"
@@ -201,9 +199,7 @@ def _signature_checks(
         facts_ok = True
         checked = []
         for low_text, high_text, expected_leq in ORDER_FACTS[(p, q)]:
-            low = parse_clan(low_text, p, q)
-            high = parse_clan(high_text, p, q)
-            got = poset.leq(low, high)
+            got = poset.leq(parse_clan(low_text, p, q), parse_clan(high_text, p, q))
             facts_ok = facts_ok and got == expected_leq
             rel = "<=" if got else "!<="
             checked.append(f"{low_text} {rel} {high_text}")
@@ -232,13 +228,23 @@ def _signature_checks(
         )
     )
 
-    for t, dim in enumerate(poset.dims):
-        for c in poset.closed_below_indices(t):
-            statistic.pairs += 1
-            if poset.reflection_count(c, t) >= dim - base:
-                statistic.at_least += 1
+    closed, down, below, _, images = poset._diagnosis
+    for t, dim in enumerate(dims):
+        budget, mask = dim - base, down[t] & below
+        statistic.pairs += mask.bit_count()
+        while mask:
+            c = closed[(low := mask & -mask).bit_length() - 1]
+            statistic.at_least += (down[t] & images[c]).bit_count() >= budget
+            mask ^= low
 
     return out
+
+
+def _packed_prefix_counts(elements, n: int) -> tuple[list[int], int]:
+    """Each clan's 2n prefix counts, one byte each, and the guard: 0x80 in every byte."""
+    signatures = map(prefix_signature, elements)
+    packed = [int.from_bytes(bytes(s.plus + s.minus), "little") for s in signatures]
+    return packed, int.from_bytes(b"\x80" * (2 * n), "little")
 
 
 def report_lines(results: list[CheckResult], statistic: BudgetStatistic) -> list[str]:

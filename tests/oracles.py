@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import ge
 
 from clans import (
     Clan,
@@ -256,13 +257,84 @@ def rank_invariants(clan: Clan):
     return tuple(m), sig.plus, sig.minus
 
 
+def rank_vector(clan: Clan) -> tuple[int, ...]:
+    """:func:`rank_invariants` flattened: the matrix row by row, then both prefix counts."""
+    m, a, b = rank_invariants(clan)
+    return tuple(chain.from_iterable(m)) + a + b
+
+
 def rank_dominates(lower: Clan, upper: Clan) -> bool:
     """Necessary condition for lower <= upper in the true closure order."""
-    m1, a1, b1 = rank_invariants(lower)
-    m2, a2, b2 = rank_invariants(upper)
-    if any(x < y for x, y in zip(a1, a2)) or any(x < y for x, y in zip(b1, b2)):
-        return False
-    return all(x >= y for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2))
+    return all(map(ge, rank_vector(lower), rank_vector(upper)))
+
+
+def monoid_down_sets(p: int, q: int) -> dict[Clan, frozenset[Clan]]:
+    """Every clan's down-set in the closure order, from the Richardson–Springer
+    monoid action; each relation found is a true closure relation.
+
+    Let s be the simple reflection at positions i, i+1.  The cross action
+    s×y swaps the two entries and renumbers (so it fixes equal signs and the
+    two ends of one pair).  The monoid action m(s)y puts a new pair on two
+    opposite signs; otherwise it is s×y if that raises the dimension, else y.
+    If t = m(s)t' with dim t = dim t' + 1, the closure of t is P_s times the
+    closure of t' (Richardson–Springer, 1990), and P_s/B is proper.  So
+    down(t) is t together with the down-sets of y, m(s)y and s×y over every
+    y <= t'.  The s×y term is needed: on opposite signs both sign orders lie
+    below the new pair, but t' holds only one of them, so without it the
+    pass misses +,-,-,+ <= +,-,1,1 at (2,2).
+
+    Clans are reached from the closed ones by ascents, and each non-closed
+    clan is built from the first ascent that reached it, in ascending
+    dimension: every down-set read is then done, except t's own when
+    m(s)t' = t.  Raises ValueError on an ascent that does not raise the
+    dimension by exactly 1, since the theorem needs it.
+    """
+    n = p + q
+    clans = [
+        canonicalize(["+" if k in plus else "-" for k in range(n)])
+        for plus in map(set, combinations(range(n), p))
+    ]
+    index = {c: k for k, c in enumerate(clans)}
+    cross, monoid, descent = [], [], {}
+    for y in clans:  # grows while it is walked: breadth first from the closed clans
+        crossed, raised = [], []
+        for i in range(n - 1):
+            swapped = list(y.entries)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            x = canonicalize(swapped)
+            if {y.entries[i], y.entries[i + 1]} == {"+", "-"}:
+                paired = list(y.entries)
+                paired[i] = paired[i + 1] = n + 1
+                up = canonicalize(paired)
+            else:
+                up = x if dimension(x) > dimension(y) else y
+            if up != y and dimension(up) != dimension(y) + 1:
+                raise ValueError(f"ascent {y.entries} -> {up.entries} skips a dimension")
+            for z in (x, up):
+                if z not in index:
+                    index[z] = len(clans)
+                    clans.append(z)
+            if up != y:
+                descent.setdefault(index[up], (index[y], i))
+            crossed.append(index[x])
+            raised.append(index[up])
+        cross.append(crossed)
+        monoid.append(raised)
+    down = [0] * len(clans)
+    for t in sorted(range(len(clans)), key=lambda k: dimension(clans[k])):
+        if t not in descent:  # closed
+            down[t] = 1 << t
+            continue
+        low, i = descent[t]
+        mask = down[low]
+        for y in range(len(clans)):
+            if down[low] >> y & 1:
+                mask |= down[cross[y][i]] | down[monoid[y][i]]
+        down[t] = mask | 1 << t
+    return {
+        c: frozenset(clans[y] for y in range(len(clans)) if down[k] >> y & 1)
+        for k, c in enumerate(clans)
+    }
 
 
 # ---- dense integer polynomials in q, coefficient lists low degree first ----

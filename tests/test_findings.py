@@ -21,8 +21,12 @@ truth about the geometry:
 
 A by-product, pinned here too: the three move types do not generate the full
 closure order.  The family below exhibits 1,1,2,2 inside the closure of
-1,+,-,1 while no move chain connects them.
+1,+,-,1 while no move chain connects them.  The true order is pinned by a
+sandwich: the Richardson–Springer monoid action bounds it from below, the
+rank conditions from above, and the two agree for p+q <= 7.
 """
+
+import operator
 
 import pytest
 
@@ -177,6 +181,51 @@ class TestDegenerationFamilies:
         assert not poset.leq(low, source)
         # the rank-condition necessary conditions do allow it
         assert oracles.rank_dominates(low, source)
+
+
+def sandwich_extra(n):
+    """Relations of the true closure order missing from the move order, over length n.
+
+    The monoid down-sets are a lower bound (every relation they hold is
+    true) and the rank conditions an upper bound (every true relation meets
+    them).  Asserting the two equal pins the true order; asserting the move
+    order inside them pins its gap, which is returned as a count.
+    """
+    extra = 0
+    for p in range(n + 1):
+        poset = oracles.get_poset(p, n - p)
+        monoid = oracles.monoid_down_sets(p, n - p)
+        assert set(monoid) == set(poset.elements)
+        vectors = {c: oracles.rank_vector(c) for c in poset.elements}
+        for t in poset.elements:
+            top = vectors[t]
+            ranked = {c for c, v in vectors.items() if all(map(operator.ge, v, top))}
+            assert monoid[t] == ranked, format_clan(t)
+            moved = poset.lower_set(t)
+            assert moved <= monoid[t], format_clan(t)
+            extra += len(monoid[t]) - len(moved)
+    return extra
+
+
+class TestClosureOrderSandwich:
+    """The true closure order, pinned between two independent bounds."""
+
+    def test_the_bounds_agree_and_hold_the_move_order_up_to_6(self):
+        assert [sandwich_extra(n) for n in range(1, 7)] == [0, 0, 0, 2, 30, 404]
+
+    @pytest.mark.slow
+    def test_the_bounds_agree_and_hold_the_move_order_7(self):
+        assert sandwich_extra(7) == 5376
+
+    def test_the_pair_split_is_an_extra_relation(self):
+        # the degeneration family above, found by both bounds
+        low, source = parse_clan("1,1,2,2", 2, 2), parse_clan("1,+,-,1", 2, 2)
+        assert low in oracles.monoid_down_sets(2, 2)[source]
+
+    def test_both_sign_orders_lie_below_a_new_pair(self):
+        # +,-,1,1 is built from +,-,+,-; only the cross action reaches +,-,-,+
+        down = oracles.monoid_down_sets(2, 2)[parse_clan("+,-,1,1", 2, 2)]
+        assert sorted(map(format_clan, down)) == ["+,-,+,-", "+,-,-,+", "+,-,1,1"]
 
 
 def kronecker_code(poly):

@@ -227,6 +227,18 @@ class TestCertificates:
         clan = parse_clan("+,-", 1, 1)
         assert not verify_certificate(clan, SimpleNamespace(start=1, end=2))
 
+    def test_verify_rejects_a_leaf_holding_a_whole_pair(self):
+        # no pair straddles the leaf's range, so only the leaf's sign test can object
+        assert not verify_certificate(parse_clan("1,1", 1, 1), ClosedLeaf(1, 2))
+        assert not verify_certificate(parse_clan("+,1,1,-", 2, 2), ClosedLeaf(1, 4))
+
+    def test_verify_accepts_empty_leaves(self):
+        # deleting the first sign leaves ClosedLeaf(1, 0); the strip's interior is ClosedLeaf(3, 2)
+        clan = parse_clan("+,1,1", 2, 1)
+        cert = SignDelete(1, 3, 1, ClosedLeaf(1, 0), OuterStrip(2, 3, ClosedLeaf(3, 2)))
+        assert build_certificate(clan) == cert
+        assert verify_certificate(clan, cert)
+
 
 def certificate_digest(lengths):
     """(sound clans, sha256 over each clan's certificate or violation).

@@ -1,12 +1,15 @@
 """The self-check engine behind `clans verify`."""
 
 import hashlib
+import operator
 
 import pytest
 
-from clans import OrbitPoset, count_clans, parse_clan
+from clans import OrbitPoset, base_dimension, count_clans, parse_clan, prefix_signature
 from clans import patterns, verify
 from clans.verify import report_lines, run_checks
+
+import oracles
 
 
 def test_all_green_up_to_n5():
@@ -102,8 +105,8 @@ def test_move_monotonicity_names_a_non_increasing_edge(monkeypatch):
     ]
 
 
-def _dimensions_failures(monkeypatch, text, dim):
-    """FAIL dimensions lines of ``run_checks(max_n=4)`` with one (2,2) dimension edited."""
+def _report_with_edited_dim(monkeypatch, text, dim):
+    """``report_lines(*run_checks(max_n=4))`` with one (2,2) dimension edited."""
     real_build = verify.build_poset
 
     def build_with_edited_dim(p, q, **kwargs):
@@ -115,7 +118,12 @@ def _dimensions_failures(monkeypatch, text, dim):
         return OrbitPoset(p, q, poset.elements, tuple(dims), poset.succ)
 
     monkeypatch.setattr(verify, "build_poset", build_with_edited_dim)
-    lines = report_lines(*run_checks(max_n=4))
+    return report_lines(*run_checks(max_n=4))
+
+
+def _dimensions_failures(monkeypatch, text, dim):
+    """FAIL dimensions lines of :func:`_report_with_edited_dim`."""
+    lines = _report_with_edited_dim(monkeypatch, text, dim)
     return [line for line in lines if line.startswith("FAIL dimensions")]
 
 
@@ -135,6 +143,41 @@ def test_dimensions_names_a_second_clan_at_the_top(monkeypatch):
     assert _dimensions_failures(monkeypatch, "1,2,1,2", 6) == [
         "FAIL dimensions p=2 q=2: 1,2,1,2: dimension 6 vs open clan mismatch"
     ]
+
+
+def test_budget_statistic_counts_a_pair_below_its_budget(monkeypatch):
+    # five closed clans lie below 1,+,-,1; +,+,-,- has 4 reflection hits and
+    # the other four have 3, its budget at dimension 5.  At dimension 6 the
+    # budget is 4, so those four pairs fall short.
+    lines = _report_with_edited_dim(monkeypatch, "1,+,-,1", 6)
+    assert lines[-2] == "count>=budget held for 124/128 (closed, target) pairs"
+
+
+def test_budget_statistic_matches_a_naive_count_up_to_n6():
+    pairs = at_least = 0
+    for n in range(1, 7):
+        for p in range(n + 1):
+            poset = oracles.get_poset(p, n - p)
+            base = base_dimension(p, n - p)
+            for t, dim in enumerate(poset.dims):
+                for c in poset.closed_below_indices(t):
+                    pairs += 1
+                    at_least += poset.reflection_count(c, t) >= dim - base
+        statistic = run_checks(max_n=n)[1]
+        assert (statistic.pairs, statistic.at_least) == (pairs, at_least)
+
+
+def test_packed_prefix_counts_compare_like_the_tuples():
+    # every ordered pair of clans, not only move edges
+    for n in range(1, 6):
+        for p in range(n + 1):
+            elements = oracles.get_poset(p, n - p).elements
+            packed, guard = verify._packed_prefix_counts(elements, n)
+            counts = [prefix_signature(c).plus + prefix_signature(c).minus for c in elements]
+            for a, low in zip(counts, packed):
+                for b, high in zip(counts, packed):
+                    falls = ((low | guard) - high) & guard != guard
+                    assert falls == any(map(operator.lt, a, b))
 
 
 def test_structural_check_runs_once_per_clan(monkeypatch):
