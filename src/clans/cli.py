@@ -18,6 +18,7 @@ from ._parallel import ordered_map
 from .core import (
     Clan,
     ClanError,
+    canonicalize,
     count_clans,
     dimension,
     enumerate_clans,
@@ -137,10 +138,25 @@ def _check_size(p: int, q: int, census: bool) -> None:
 
 
 def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool]]:
-    """The clans of (p, q) and their smoothness verdicts."""
+    """The clans of (p, q) and their smoothness verdicts.
+
+    A clan and its reversal share a verdict (see :mod:`clans.patterns`), so
+    only the first of each reversal pair in token order is classified.
+    """
     _check_size(args.p, args.q, census=True)
     clans = enumerate_clans(args.p, args.q)
-    return clans, ordered_map(is_rationally_smooth, clans, args.jobs)
+    pending: dict[tuple, int] = {}  # a classified clan's reversal -> its slot
+    firsts: list[Clan] = []
+    slots = []
+    for c in clans:
+        slot = pending.pop(c.entries, None)
+        if slot is None:
+            slot = len(firsts)
+            firsts.append(c)
+            pending[canonicalize(reversed(c.entries)).entries] = slot
+        slots.append(slot)
+    verdicts = ordered_map(is_rationally_smooth, firsts, args.jobs)
+    return clans, [verdicts[slot] for slot in slots]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

@@ -14,6 +14,11 @@ signs nesting into inner pairs); behind that gate a certificate is built in
 one walk per node, and the equivalence of the gate with pattern avoidance is
 verified exhaustively by the test suite rather than assumed.
 
+The seven patterns are closed under reversal (reading a clan right to left
+and renumbering): an embedding read backwards embeds the reversed pattern, so
+a clan and its reversal get the same verdict.  The census of ``clans.cli``
+relies on this and classifies one clan per reversal pair.
+
 Known caveat, pinned in the findings test module: clans including
 1,2,2,3,3,1 classify as smooth here although their closures fail the
 reflection-counting diagnostic and are in fact not rationally smooth; the
@@ -58,7 +63,9 @@ from .core import (
 )
 
 #: Inclusion of any of these seven patterns makes the orbit closure not
-#: rationally smooth.  Order fixed for deterministic witnesses.
+#: rationally smooth.  Order fixed for deterministic witnesses.  Reversal maps
+#: the set to itself (the first two swap, the last four swap in pairs, 1,2,1,2
+#: is its own), so avoidance is reversal-invariant; the census relies on it.
 FORBIDDEN_PATTERNS: tuple[Clan, ...] = (
     canonicalize((1, PLUS, MINUS, 1)),
     canonicalize((1, MINUS, PLUS, 1)),

@@ -226,6 +226,19 @@ def naive_mates(clan: Clan) -> dict[int, int]:
     return out
 
 
+def reversed_clan(clan: Clan) -> Clan:
+    """The clan read right to left, its pairs renumbered 1, 2, ... in the
+    order they now first appear, by a plain dict (the constructor then
+    checks the numbering is canonical)."""
+    number: dict[int, int] = {}
+    entries = []
+    for e in reversed(clan.entries):
+        if e not in ("+", "-") and e not in number:
+            number[e] = len(number) + 1
+        entries.append(number.get(e, e))
+    return Clan(tuple(entries), clan.p, clan.q)
+
+
 def rank_invariants(clan: Clan):
     """Semicontinuous invariants of the orbit: intersection dimensions of the
     flag with its theta-image, plus the two prefix counts.

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clans import _parallel
-from clans.cli import main
+import oracles
+from clans import _parallel, cli, enumerate_clans, is_rationally_smooth
+from clans.cli import _census, main
 
 #: The environment for a fresh interpreter: it imports clans from this checkout.
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -118,6 +120,38 @@ def test_census_pinned_4_4(capsys):
         code, out, _ = run_main(capsys, command, "--p", "4", "--q", "4", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
+
+
+class TestCensusByReversalPair:
+    """The census classifies one clan per reversal pair and copies its verdict."""
+
+    @pytest.mark.parametrize("n", [*range(9), pytest.param(9, marks=pytest.mark.slow)])
+    def test_verdicts_match_direct_classification(self, n):
+        for p in range(n + 1):
+            clans, verdicts = _census(argparse.Namespace(p=p, q=n - p, jobs=1))
+            assert clans == enumerate_clans(p, n - p)
+            assert verdicts == [is_rationally_smooth(c) for c in clans], (p, n - p)
+
+    def test_one_call_per_reversal_class_4_4(self, capsys, monkeypatch):
+        classes = {frozenset((c, oracles.reversed_clan(c))) for c in enumerate_clans(4, 4)}
+        called = []
+
+        def counting(clan):
+            called.append(clan)
+            return is_rationally_smooth(clan)
+
+        monkeypatch.setattr(cli, "is_rationally_smooth", counting)
+        assert run_main(capsys, "enumerate", "--p", "4", "--q", "4")[0] == 0
+        assert len(called) == len(classes)
+        assert {frozenset((c, oracles.reversed_clan(c))) for c in called} == classes
+
+    def test_reversal_classes_5_5(self):
+        # the census55 benchmark classifies one clan of each of these classes
+        clans = enumerate_clans(5, 5)
+        mirrors = [oracles.reversed_clan(c) for c in clans]
+        assert len(clans) == 45_297
+        assert sum(m == c for c, m in zip(clans, mirrors)) == 251
+        assert len({frozenset(pair) for pair in zip(clans, mirrors)}) == 22_774
 
 
 class TestClassify:
@@ -422,6 +456,16 @@ class TestDeterminismAcrossJobs:
             _, out, _ = run_main(
                 capsys, "enumerate", "--p", "3", "--q", "2", "--jobs", jobs
             )
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["enumerate", "stats"])
+    def test_census_jobs_4_3(self, capsys, command):
+        # p != q, and (4,3) holds clans that are their own reversal
+        assert any(oracles.reversed_clan(c) == c for c in enumerate_clans(4, 3))
+        outs = []
+        for jobs in ("1", "2"):
+            _, out, _ = run_main(capsys, command, "--p", "4", "--q", "3", "--jobs", jobs)
             outs.append(out)
         assert outs[0] == outs[1]
 

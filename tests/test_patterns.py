@@ -56,6 +56,11 @@ def test_forbidden_pattern_constants():
     ]
 
 
+def test_forbidden_patterns_closed_under_reversal():
+    # the census classifies one clan per reversal pair on the strength of this
+    assert {oracles.reversed_clan(p) for p in FORBIDDEN_PATTERNS} == set(FORBIDDEN_PATTERNS)
+
+
 class TestFindEmbedding:
     def test_identity(self):
         pattern = parse_clan("1,+,-,1", 2, 2)
@@ -431,6 +436,17 @@ def _sound_interior(draw, m, signs=True):
 
 
 @st.composite
+def random_clans(draw, lengths=st.integers(8, 16), min_pairs=0):
+    """A clan with min_pairs to n/2 pairs at random places, signs elsewhere."""
+    n = draw(lengths)
+    entries = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    for k in range(draw(st.integers(min_pairs, n // 2))):
+        entries[order[2 * k]] = entries[order[2 * k + 1]] = k + 1
+    return canonicalize(entries)
+
+
+@st.composite
 def long_clans(draw):
     """(clan of length 10 to 16, whether it was built to be structurally sound).
 
@@ -439,11 +455,7 @@ def long_clans(draw):
     """
     n = draw(st.integers(10, 16))
     if draw(st.booleans()):
-        entries = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
-        order = draw(st.permutations(range(n)))
-        for k in range(draw(st.integers(2, n // 2))):
-            entries[order[2 * k]] = entries[order[2 * k + 1]] = k + 1
-        return canonicalize(entries), False
+        return draw(random_clans(st.just(n), min_pairs=2)), False
     tokens = []
     while len(tokens) < n:
         left = n - len(tokens)
@@ -476,3 +488,16 @@ def test_certificate_iff_structural_past_exhaustive_range(drawn):
     else:
         assert violation is None
         assert verify_certificate(clan, cert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_clans())
+def test_inclusion_survives_reversal(host):
+    mirror = oracles.reversed_clan(host)
+    for pattern in FORBIDDEN_PATTERNS:
+        reversed_pattern = oracles.reversed_clan(pattern)
+        found = find_embedding(host, pattern)
+        assert (found is None) == (find_embedding(mirror, reversed_pattern) is None)
+        if found is not None:  # read backwards, the embedding embeds the reversed pattern
+            backwards = [host.n + 1 - i for i in reversed(found)]
+            assert canonicalize(mirror.entries[i - 1] for i in backwards) == reversed_pattern
