@@ -84,54 +84,69 @@ def find_embedding(host: Clan, pattern: Clan) -> Optional[tuple[int, ...]]:
     mate, the two of them filling one pattern pair.  Returns None when the
     host avoids the pattern.
 
+    The search fills slots left to right, trying host positions in increasing
+    order, so the first tuple it completes is the least.  A slot's scan stops
+    at the host right end of the open pattern pair that closes first: that end
+    is fixed by the pair's left end and the slot must map before it, so the
+    bound drops no embedding.
+
     >>> find_embedding(canonicalize((1, 2, "+", "-", 2, 1)), canonicalize((1, "+", "-", 1)))
     (1, 3, 4, 6)
     """
-    m = pattern.n
-    if m > host.n:
-        return None
-    host_mates = host.mates()
-    pattern_mates = pattern.mates()
-    host_entries = host.entries
-    pattern_entries = pattern.entries
-    chosen: list[int] = []
+    return _least_embedding(host.entries, _mate_list(host), _slot_table(pattern))
 
-    def extend(slot: int, start: int) -> bool:
-        if slot > m:
-            return True
-        want = pattern_entries[slot - 1]
-        mate_slot = pattern_mates.get(slot)
-        if mate_slot is not None and mate_slot < slot:
-            # right end of a pattern pair: the host position is forced
-            pos = host_mates[chosen[mate_slot - 1]]
-            if pos < start:
-                return False
-            chosen.append(pos)
-            if extend(slot + 1, pos + 1):
-                return True
-            chosen.pop()
-            return False
-        for pos in range(start, host.n + 1):
-            entry = host_entries[pos - 1]
-            if mate_slot is None:
-                if entry != want:
-                    continue
-            elif is_sign(entry) or host_mates[pos] < pos:
-                continue
-            chosen.append(pos)
-            if extend(slot + 1, pos + 1):
-                return True
-            chosen.pop()
-        return False
 
-    return tuple(chosen) if extend(1, 1) else None
+def _mate_list(clan: Clan) -> list[int]:
+    mates = [-1] * clan.n  # 0-based mate of each 0-based position, -1 at a sign
+    for a, b in clan.pairs:
+        mates[a - 1], mates[b - 1] = b - 1, a - 1
+    return mates
+
+
+def _slot_table(pattern: Clan) -> tuple[tuple[Optional[str], int, int], ...]:
+    """Per slot: the sign wanted, None at a pair end; the left end's slot at a
+    right end, else -1; the left slot of the open pair closing first, else -1."""
+    mates = _mate_list(pattern)
+    return tuple(
+        (e if mate < 0 else None, mate if mate < s else -1,
+         min([(b, a) for a, b in enumerate(mates) if a < s < b], default=(0, -1))[1])
+        for s, (e, mate) in enumerate(zip(pattern.entries, mates))
+    )
+
+
+def _least_embedding(entries, mates: list[int], table) -> Optional[tuple[int, ...]]:
+    """The search of :func:`find_embedding` on a host's entries and mate list."""
+    m = len(table)
+    chosen = [0] * m
+    slot = pos = 0
+    while 0 <= slot < m:
+        want, left, closing = table[slot]
+        k, end = pos, (mates[chosen[closing]] if closing >= 0 else len(entries))
+        if left >= 0:  # right end of a pattern pair: the host position is forced
+            k = mates[chosen[left]]
+            end = k + 1 if k >= pos else 0
+        elif want is None:  # left end of a pattern pair: a host pair's left end
+            while k < end and mates[k] < k:
+                k += 1
+        else:
+            while k < end and entries[k] != want:
+                k += 1
+        if k < end:
+            chosen[slot] = k
+            slot, pos = slot + 1, k + 1
+        else:  # back up one slot; a forced slot then fails at once
+            slot, pos = slot - 1, chosen[slot - 1] + 1
+    return tuple(k + 1 for k in chosen) if slot == m else None
+
+
+_FORBIDDEN_TABLES = tuple((pattern, _slot_table(pattern)) for pattern in FORBIDDEN_PATTERNS)
 
 
 def includes_any(host: Clan) -> Optional[tuple[Clan, tuple[int, ...]]]:
     """First (pattern, least embedding) hit in :data:`FORBIDDEN_PATTERNS` order, else None."""
-    for pattern in FORBIDDEN_PATTERNS:
-        embedding = find_embedding(host, pattern)
-        if embedding is not None:
+    entries, mates = host.entries, _mate_list(host)  # read once for all seven
+    for pattern, table in _FORBIDDEN_TABLES:
+        if (embedding := _least_embedding(entries, mates, table)) is not None:
             return pattern, embedding
     return None
 

@@ -41,6 +41,17 @@ def clans_up_to(max_n):
             yield from enumerate_clans(p, n - p)
 
 
+def assert_least_embeddings(pattern_list, hosts):
+    for pattern in pattern_list:
+        for host in hosts:
+            if pattern.n <= host.n:
+                brute = oracles.brute_embeddings(host, pattern)
+                assert find_embedding(host, pattern) == (min(brute) if brute else None), (
+                    format_clan(host),
+                    format_clan(pattern),
+                )
+
+
 def test_forbidden_pattern_constants():
     assert [format_clan(p) for p in FORBIDDEN_PATTERNS] == [
         "1,+,-,1",
@@ -87,6 +98,20 @@ class TestFindEmbedding:
                 brute = oracles.brute_embeddings(host, pattern)
                 got = find_embedding(host, pattern)
                 assert got == (min(brute) if brute else None)
+
+    # The scan bound depends on the pattern's shape (nested, crossing or
+    # side-by-side pairs, signs inside or between them), so these sweeps take
+    # every clan of a length as the pattern, not only the forbidden ones.
+    def test_any_pattern_matches_brute_force(self):
+        assert_least_embeddings(list(clans_up_to(4)), list(clans_up_to(5)))
+
+    @pytest.mark.slow
+    def test_any_pattern_matches_brute_force_5_on_6(self):
+        assert_least_embeddings(list(clans_up_to(5)), list(clans_up_to(6)))
+
+    @pytest.mark.slow
+    def test_eighth_pattern_matches_brute_force_up_to_8(self):
+        assert_least_embeddings([parse_clan("1,2,2,3,3,1", 3, 3)], list(clans_up_to(8)))
 
     def test_longer_pattern_never_embeds(self):
         host = parse_clan("1,1", 1, 1)
@@ -280,6 +305,43 @@ def test_certificates_pinned_8():
     assert certificate_digest([8]) == (
         2630,
         "99702dace03480c2cf2ff32ecf8c6c24af1357d3df112554a25f427143ef26a4",
+    )
+
+
+def witness_digest(lengths):
+    """(clans including a pattern, sha256 over each clan's includes_any witness).
+
+    Clans are taken in enumeration order, as in certificate_digest; an
+    avoider's line reads "avoids".
+    """
+    digest = hashlib.sha256()
+    hits = 0
+    for n in lengths:
+        for p in range(n + 1):
+            for clan in enumerate_clans(p, n - p):
+                hit = includes_any(clan)
+                if hit is None:
+                    doc = "avoids"
+                else:
+                    pattern, positions = hit
+                    doc = f"{format_clan(pattern)} {','.join(map(str, positions))}"
+                    hits += 1
+                digest.update(f"{format_clan(clan)} {doc}\n".encode())
+    return hits, digest.hexdigest()
+
+
+def test_witnesses_pinned_up_to_7():
+    assert witness_digest(range(1, 8)) == (
+        1131,
+        "3fd3bbd3f6bece3d3e93f2d98c1733592dab14ddcb37813ce9e04415025aa645",
+    )
+
+
+@pytest.mark.slow
+def test_witnesses_pinned_8():
+    assert witness_digest([8]) == (
+        4563,
+        "a66b28c1b509fc88bff88d97d5d66a1c2d08db164757d55b83a2dc396f9a2231",
     )
 
 
@@ -501,3 +563,16 @@ def test_inclusion_survives_reversal(host):
         if found is not None:  # read backwards, the embedding embeds the reversed pattern
             backwards = [host.n + 1 - i for i in reversed(found)]
             assert canonicalize(mirror.entries[i - 1] for i in backwards) == reversed_pattern
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_clans())
+def test_includes_any_matches_brute_force_on_long_clans(host):
+    # the first pattern, in FORBIDDEN_PATTERNS order, with a brute-force embedding
+    expected = None
+    for pattern in FORBIDDEN_PATTERNS:
+        brute = oracles.brute_embeddings(host, pattern)
+        if brute:
+            expected = (pattern, min(brute))
+            break
+    assert includes_any(host) == expected
