@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from clans import _parallel, cli, enumerate_clans, is_rationally_smooth
+from clans import _parallel, cli, enumerate_clans, format_clan, is_rationally_smooth
 from clans.cli import _census, main
 
 #: The environment for a fresh interpreter: it imports clans from this checkout.
@@ -152,6 +152,31 @@ class TestCensusByReversalPair:
         assert len(clans) == 45_297
         assert sum(m == c for c, m in zip(clans, mirrors)) == 251
         assert len({frozenset(pair) for pair in zip(clans, mirrors)}) == 22_774
+
+
+@pytest.mark.parametrize(
+    "max_n, expected",
+    [
+        (6, "929018b6f45336293dd88823529b104f267be0cd3d7b3c72c673eb690eb3439e"),
+        pytest.param(
+            7,
+            "af20e30ca81d9b55bacb2bb47a79cf37173c8c1f752fe9720d5bdbaa6446ff5e",
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_classify_stdout_pinned(capsys, max_n, expected):
+    # the bytes classify prints, key order included, for every clan with
+    # p+q <= max_n (705 clans at 6, 2,555 at 7), in enumeration order
+    digest = hashlib.sha256()
+    for n in range(1, max_n + 1):
+        for p in range(n + 1):
+            for clan in enumerate_clans(p, n - p):
+                argv = ["classify", "--p", str(p), "--q", str(n - p), "--clan=" + format_clan(clan)]
+                code, out, _ = run_main(capsys, *argv)
+                assert code == 0, argv
+                digest.update(out.encode())
+    assert digest.hexdigest() == expected
 
 
 class TestClassify:
