@@ -219,8 +219,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--clan" in argv[:-1]:  # argparse reads a value such as "-,+" as a flag
+        i = argv.index("--clan")
+        argv[i : i + 2] = [f"--clan={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ClanError, PosetSizeError, _UsageError) as exc:

@@ -114,17 +114,10 @@ class Clan:
         return tuple(out)
 
     def mates(self) -> dict[int, int]:
-        """Map each pair position to its mate's, in one pass as for :attr:`pairs`."""
+        """Map each pair position to its mate's, read off :attr:`pairs`."""
         out: dict[int, int] = {}
-        left: list[int] = []
-        for pos, e in enumerate(self.entries, start=1):
-            if e == PLUS or e == MINUS:
-                continue
-            if e > len(left):
-                left.append(pos)
-            else:
-                out[left[e - 1]] = pos
-                out[pos] = left[e - 1]
+        for a, b in self.pairs:
+            out[a], out[b] = b, a
         return out
 
     def __hash__(self) -> int:
@@ -359,18 +352,17 @@ def prefix_signature(clan: Clan) -> SignaturePrefix:
     """
     plus_counts: list[int] = []
     minus_counts: list[int] = []
-    a = b = 0
-    seen: set[Entry] = set()
+    a = b = opened = 0
     for e in clan.entries:
         if e == PLUS:
             a += 1
         elif e == MINUS:
             b += 1
-        elif e in seen:
+        elif e <= opened:  # closes its pair, by the canonical numbering of Clan.pairs
             a += 1
             b += 1
         else:
-            seen.add(e)
+            opened += 1
         plus_counts.append(a)
         minus_counts.append(b)
     return SignaturePrefix(tuple(plus_counts), tuple(minus_counts))

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .core import (
     PLUS,
@@ -212,6 +212,7 @@ def structural_check(clan: Clan) -> Optional[StructuralViolation]:
 class ClosedLeaf:
     """A (possibly empty) run of signs; nothing left to decompose."""
 
+    kind: ClassVar[str] = "closed-leaf"
     start: int
     end: int
 
@@ -220,6 +221,7 @@ class ClosedLeaf:
 class SignDelete:
     """A sign inside no pair is deleted; the flanks decompose independently."""
 
+    kind: ClassVar[str] = "sign-delete"
     start: int
     end: int
     position: int
@@ -231,6 +233,7 @@ class SignDelete:
 class BlockSplit:
     """Two or more adjacent blocks, each flanked by one pair, none sharing pairs."""
 
+    kind: ClassVar[str] = "block-split"
     start: int
     end: int
     children: tuple["Certificate", ...]
@@ -240,6 +243,7 @@ class BlockSplit:
 class OuterStrip:
     """First and last positions are mates; the interior decomposes on its own."""
 
+    kind: ClassVar[str] = "outer-strip"
     start: int
     end: int
     child: "Certificate"
@@ -388,31 +392,16 @@ def classify(clan: Clan) -> SmoothnessVerdict:
 
 
 def certificate_json(cert: Certificate) -> dict:
-    """Certificate as nested tagged nodes (JSON-ready)."""
-    if isinstance(cert, ClosedLeaf):
-        return {"kind": "closed-leaf", "start": cert.start, "end": cert.end}
-    if isinstance(cert, SignDelete):
-        return {
-            "kind": "sign-delete",
-            "start": cert.start,
-            "end": cert.end,
-            "position": cert.position,
-            "left": certificate_json(cert.left),
-            "right": certificate_json(cert.right),
-        }
-    if isinstance(cert, BlockSplit):
-        return {
-            "kind": "block-split",
-            "start": cert.start,
-            "end": cert.end,
-            "children": [certificate_json(c) for c in cert.children],
-        }
-    return {
-        "kind": "outer-strip",
-        "start": cert.start,
-        "end": cert.end,
-        "child": certificate_json(cert.child),
-    }
+    """Certificate as nested tagged nodes (JSON-ready): each node's kind, then
+    its fields in declaration order, a nested node or tuple of nodes in turn."""
+    doc: dict = {"kind": cert.kind}
+    for name, value in vars(cert).items():
+        if isinstance(value, tuple):
+            value = [certificate_json(child) for child in value]
+        elif not isinstance(value, int):
+            value = certificate_json(value)
+        doc[name] = value
+    return doc
 
 
 def verdict_json(verdict: SmoothnessVerdict) -> dict:

@@ -198,6 +198,21 @@ class TestClassify:
         assert doc["certificate"]["kind"] == "outer-strip"
         assert doc["dimension"] == 6
 
+    @pytest.mark.parametrize("text, p", [("-,+", "1"), ("-,1,1,+", "2")])
+    def test_clan_starting_with_minus(self, capsys, text, p):
+        # argparse reads a lone "-,+" as a flag; main joins it to a bare --clan
+        signature = ["classify", "--p", p, "--q", p]
+        code, out, err = run_main(capsys, *signature, "--clan", text)
+        assert code == 0 and err == ""
+        assert json.loads(out)["clan"] == text
+        assert run_main(capsys, *signature, f"--clan={text}") == (code, out, err)
+
+    def test_trailing_bare_clan_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--p", "1", "--q", "1", "--clan"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_invalid_clan_is_usage_error(self, capsys):
         code, out, err = run_main(
             capsys, "classify", "--p", "2", "--q", "1", "--clan", "1,+,-,2"
@@ -422,7 +437,7 @@ class TestUsage:
 small_ints = st.integers(0, 3).map(str)
 over_bound = st.one_of(small_ints, st.just("40"))
 clan_texts = st.sampled_from(
-    ["1,+,-,1", "1,2,2,1", "+,-", "1+1-", "1,1", "1,1,1", "0,+,0,-", "1,²,1,+", ""]
+    ["1,+,-,1", "1,2,2,1", "+,-", "-,+", "1+1-", "1,1", "1,1,1", "0,+,0,-", "1,²,1,+", ""]
 )
 loose_tokens = st.one_of(
     small_ints,

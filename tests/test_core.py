@@ -6,11 +6,12 @@ import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clans import (
     Clan,
     ClanError,
+    SignaturePrefix,
     base_dimension,
     canonicalize,
     count_clans,
@@ -26,6 +27,7 @@ from clans import (
 )
 
 import oracles
+from strategies import random_clans
 
 
 def clans_up_to(max_n):
@@ -367,6 +369,31 @@ class TestPrefixSignature:
                 assert a - prev_a in (0, 1) and b - prev_b in (0, 1)
                 assert a + b <= i
                 prev_a, prev_b = a, b
+
+    def test_counts_match_naive_count(self):
+        for clan in clans_up_to(7):
+            assert prefix_signature(clan) == naive_prefix_signature(clan), format_clan(clan)
+
+
+def naive_prefix_signature(clan):
+    """Per prefix: its "+" (or "-") signs, plus the naive_pairs with both ends in it."""
+    pairs = oracles.naive_pairs(clan)
+    plus, minus = [], []
+    for i in range(1, clan.n + 1):
+        closed = sum(1 for _, right in pairs if right <= i)
+        plus.append(clan.entries[:i].count("+") + closed)
+        minus.append(clan.entries[:i].count("-") + closed)
+    return SignaturePrefix(tuple(plus), tuple(minus))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_clans())
+def test_pairs_mates_and_prefix_counts_on_long_clans(clan):
+    # past the exhaustive range, every reader of the pair numbering
+    # against its naive oracle
+    assert clan.pairs == tuple(oracles.naive_pairs(clan))
+    assert clan.mates() == oracles.naive_mates(clan)
+    assert prefix_signature(clan) == naive_prefix_signature(clan)
 
 
 class TestClosedAndOpen:

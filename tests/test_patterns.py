@@ -33,6 +33,7 @@ from clans import (
 import oracles
 from clans import patterns
 from clans.patterns import _decompose
+from strategies import random_clans
 
 
 def clans_up_to(max_n):
@@ -415,6 +416,12 @@ class TestJson:
         assert doc["position"] == 3
         assert doc["left"]["kind"] == "outer-strip"
         assert doc["right"]["kind"] == "closed-leaf"
+        # each kind's keys in the order classify prints them
+        split = certificate_json(build_certificate(parse_clan("1,1,2,2", 2, 2)))
+        assert list(doc) == ["kind", "start", "end", "position", "left", "right"]
+        assert list(doc["left"]) == ["kind", "start", "end", "child"]
+        assert list(doc["right"]) == ["kind", "start", "end"]
+        assert list(split) == ["kind", "start", "end", "children"]
 
 
 # constructive transitivity: a sub-clan of a sub-clan embeds in the host
@@ -489,17 +496,6 @@ def _sound_interior(draw, m, signs=True):
         tokens += ["(", *_sound_interior(draw, inner, signs=False), ")"]
         m -= inner + 2
     return tokens
-
-
-@st.composite
-def random_clans(draw, lengths=st.integers(8, 16), min_pairs=0):
-    """A clan with min_pairs to n/2 pairs at random places, signs elsewhere."""
-    n = draw(lengths)
-    entries = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
-    order = draw(st.permutations(range(n)))
-    for k in range(draw(st.integers(min_pairs, n // 2))):
-        entries[order[2 * k]] = entries[order[2 * k + 1]] = k + 1
-    return canonicalize(entries)
 
 
 @st.composite

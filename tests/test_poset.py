@@ -19,7 +19,6 @@ from clans import (
     OrbitPoset,
     PosetSizeError,
     build_poset,
-    canonicalize,
     dimension,
     enumerate_clans,
     export_dot,
@@ -36,6 +35,7 @@ from clans import (
 )
 
 import oracles
+from strategies import random_clans
 
 
 def texts(clans):
@@ -50,17 +50,6 @@ def assert_moves_match_naive_oracle(clan):
     assert successors(clan) == {result for _, _, result in naive}
     for mv in got:
         assert mv.result == Clan(mv.result.entries, mv.result.p, mv.result.q)
-
-
-@st.composite
-def long_clans(draw):
-    """A canonical clan of length 8 to 12, with 0 to n/2 pairs placed at random."""
-    n = draw(st.integers(8, 12))
-    entries = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
-    order = draw(st.permutations(range(n)))
-    for k in range(draw(st.integers(0, n // 2))):
-        entries[order[2 * k]] = entries[order[2 * k + 1]] = k + 1
-    return canonicalize(entries)
 
 
 class TestMoves:
@@ -123,14 +112,14 @@ class TestMoves:
         self.assert_all_moves_match_naive_oracle(8)
 
     @settings(max_examples=200, deadline=None)
-    @given(long_clans())
+    @given(random_clans(st.integers(8, 12)))
     def test_moves_match_naive_oracle_past_exhaustive_range(self, clan):
         # creations shift the numbers of later pairs and right endpoint slides
         # are plain swaps; both need clans with many pairs to be exercised
         assert_moves_match_naive_oracle(clan)
 
     @settings(max_examples=200, deadline=None)
-    @given(long_clans())
+    @given(random_clans(st.integers(8, 12)))
     def test_moves_order(self, clan):
         # creations by (i, j), slides by the pair entry's position and then
         # the sign's, exchanges by (u, v)
