@@ -1,8 +1,15 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and sweep helpers shared by the test modules."""
 
 from hypothesis import strategies as st
 
-from clans import canonicalize
+from clans import canonicalize, enumerate_clans
+
+
+def clans_up_to(max_n):
+    """Every clan with p+q <= max_n, by length, then p, then token order."""
+    for n in range(max_n + 1):
+        for p in range(n + 1):
+            yield from enumerate_clans(p, n - p)
 
 
 @st.composite

@@ -27,13 +27,7 @@ from clans import (
 )
 
 import oracles
-from strategies import random_clans
-
-
-def clans_up_to(max_n):
-    for n in range(max_n + 1):
-        for p in range(n + 1):
-            yield from enumerate_clans(p, n - p)
+from strategies import clans_up_to, random_clans
 
 
 small_clans = st.builds(

@@ -33,13 +33,7 @@ from clans import (
 import oracles
 from clans import patterns
 from clans.patterns import _decompose
-from strategies import random_clans
-
-
-def clans_up_to(max_n):
-    for n in range(max_n + 1):
-        for p in range(n + 1):
-            yield from enumerate_clans(p, n - p)
+from strategies import clans_up_to, random_clans
 
 
 def assert_least_embeddings(pattern_list, hosts):

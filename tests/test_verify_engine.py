@@ -5,8 +5,15 @@ import operator
 
 import pytest
 
-from clans import OrbitPoset, base_dimension, count_clans, parse_clan, prefix_signature
-from clans import patterns, verify
+from clans import (
+    OrbitPoset,
+    base_dimension,
+    count_clans,
+    parse_clan,
+    prefix_signature,
+    successors,
+)
+from clans import cli, patterns, verify
 from clans.verify import report_lines, run_checks
 
 import oracles
@@ -81,27 +88,67 @@ def test_prefix_monotonicity_fails_on_a_bad_move_edge(monkeypatch):
     assert "-,1,+,1" in failing[0]
 
 
+def _edit_successors(monkeypatch, text, p, q, edit):
+    """Make the move kernel return ``edit(found)`` as the successors of one clan."""
+    source = parse_clan(text, p, q)
+
+    def edited(clan):
+        found = successors(clan)
+        return edit(found) if clan == source else found
+
+    monkeypatch.setattr("clans.poset.successors", edited)
+
+
+def _fail_lines(lines):
+    return [line for line in lines if line.startswith("FAIL")]
+
+
+FLAT_EDGE_FAIL = (
+    "FAIL move-monotonicity p=2 q=2: "
+    "move 1,1,+,- -> +,1,1,- takes the dimension from 3 to 3"
+)
+
+
+def _add_flat_edge(monkeypatch):
+    # 1,1,+,- and +,1,1,- are incomparable and both of dimension 3
+    flat = parse_clan("+,1,1,-", 2, 2)
+    _edit_successors(monkeypatch, "1,1,+,-", 2, 2, lambda found: found | {flat})
+
+
 def test_move_monotonicity_names_a_non_increasing_edge(monkeypatch):
-    # 1,1,+,- and +,1,1,- are incomparable and both of dimension 3; an edge
-    # between them must fail the check with the edge in its detail
-    real_build = verify.build_poset
+    # build_poset refuses the edge; verify reports the refusal as the
+    # signature's one line
+    _add_flat_edge(monkeypatch)
+    assert _fail_lines(report_lines(*run_checks(max_n=4))) == [FLAT_EDGE_FAIL]
 
-    def build_with_flat_edge(p, q, **kwargs):
-        poset = real_build(p, q, **kwargs)
-        if (p, q) != (2, 2):
-            return poset
-        low = poset.index_of(parse_clan("1,1,+,-", 2, 2))
-        high = poset.index_of(parse_clan("+,1,1,-", 2, 2))
-        succ = list(poset.succ)
-        succ[low] = tuple(sorted(succ[low] + (high,)))
-        return OrbitPoset(p, q, poset.elements, poset.dims, tuple(succ))
 
-    monkeypatch.setattr(verify, "build_poset", build_with_flat_edge)
-    lines = report_lines(*run_checks(max_n=4))
-    failing = [line for line in lines if line.startswith("FAIL move-monotonicity")]
-    assert failing == [
-        "FAIL move-monotonicity p=2 q=2: "
-        "move 1,1,+,- -> +,1,1,- takes the dimension from 3 to 3"
+def test_cli_verify_reports_a_non_increasing_edge_in_one_line(monkeypatch, capsys):
+    _add_flat_edge(monkeypatch)
+    assert cli.main(["verify", "--max-n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _fail_lines(out.splitlines()) == [FLAT_EDGE_FAIL]
+
+
+def test_poset_extremes_reports_two_tops(monkeypatch):
+    # -,+ loses its only move, so it stays a top beside 1,1
+    _edit_successors(monkeypatch, "-,+", 1, 1, lambda found: set())
+    assert _fail_lines(report_lines(*run_checks(max_n=3))) == [
+        "FAIL poset-extremes p=1 q=1: (1,1) poset has 2 top elements, expected one"
+    ]
+
+
+def test_criteria_equivalence_reports_a_refused_decomposition(monkeypatch):
+    # a structural test that passes the crossing 1,2,1,2 sends it to
+    # _decompose, which refuses it: the certificate criterion then fails it
+    crossing = parse_clan("1,2,1,2", 2, 2)
+    check = verify.structural_check
+    monkeypatch.setattr(
+        verify, "structural_check", lambda clan: None if clan == crossing else check(clan)
+    )
+    assert _fail_lines(report_lines(*run_checks(max_n=4))) == [
+        "FAIL criteria-equivalence p=2 q=2: 1,2,1,2: avoidance=False "
+        "structural=True certificate=False springer=False"
     ]
 
 
