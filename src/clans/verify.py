@@ -3,9 +3,11 @@
 Runs, per signature, the enumeration count against the closed form, the
 dimension extremes, move monotonicity, poset extremes and prefix-count
 monotonicity, a handful of pinned order facts, and the mutual equivalence of
-the three smoothness criteria (pattern avoidance, structural decomposition,
-reflection counting).  Any disagreement between the criteria is a finding to
-report, never something to patch over.
+the four smoothness criteria (pattern avoidance, the structural test, the
+certificate, reflection counting).  ``build_poset`` checks move monotonicity
+and ``verify`` reports its verdict.  A refusal from the library becomes the
+FAIL line of the check it belongs to, never a traceback.  Any disagreement
+between the criteria is a finding to report, never something to patch over.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .core import (
     prefix_signature,
 )
 from .patterns import _decompose, includes_any, structural_check, verify_certificate
-from .poset import build_poset
+from .poset import NonIncreasingMoveError, build_poset
 from .springer import springer_diagnosis
 
 
@@ -80,7 +82,10 @@ def criteria_bits(clan: Clan) -> tuple[bool, bool, bool]:
     """
     avoids = includes_any(clan) is None
     structural_ok = structural_check(clan) is None
-    certificate_ok = structural_ok and verify_certificate(clan, _decompose(clan))
+    try:
+        certificate_ok = structural_ok and verify_certificate(clan, _decompose(clan))
+    except RuntimeError:  # the structural test passed a clan _decompose refuses
+        certificate_ok = False
     return avoids, structural_ok, certificate_ok
 
 
@@ -98,8 +103,11 @@ def _signature_checks(
     p: int, q: int, jobs: int, statistic: BudgetStatistic
 ) -> list[CheckResult]:
     n = p + q
+    try:
+        poset = build_poset(p, q, jobs=jobs)
+    except NonIncreasingMoveError as exc:
+        return [CheckResult("move-monotonicity", p, q, False, str(exc))]
     out: list[CheckResult] = []
-    poset = build_poset(p, q, jobs=jobs)
     elements, dims = poset.elements, poset.dims
     closed_flags = list(map(is_closed, elements))
 
@@ -139,22 +147,18 @@ def _signature_checks(
         )
     )
 
-    # One walk over the move edges checks the dimension rise and prefix-count
-    # monotonicity.  The order is the reflexive-transitive closure of the move
-    # edges and componentwise domination is reflexive and transitive, so
-    # checking every move edge checks every relation.
+    # build_poset has refused any move edge that does not raise the
+    # dimension, so one walk over the edges counts them and checks
+    # prefix-count monotonicity.  The order is the reflexive-transitive
+    # closure of the move edges and componentwise domination is reflexive
+    # and transitive, so checking every move edge checks every relation.
     packed, guard = _packed_prefix_counts(elements, n)
     edges = 0
-    rise_bad = prefix_bad = ""
+    prefix_bad = ""
     for i, upper_indices in enumerate(poset.succ):
         edges += len(upper_indices)
-        lower, dim = packed[i] | guard, dims[i]
+        lower = packed[i] | guard
         for j in upper_indices:
-            if not rise_bad and dims[j] <= dim:
-                rise_bad = (
-                    f"move {format_clan(elements[i])} -> {format_clan(elements[j])} "
-                    f"takes the dimension from {dim} to {dims[j]}"
-                )
             # counts are at most n < 128, so no byte borrows; a guard bit goes
             # exactly where a count of the lower clan is below the upper one's
             if not prefix_bad and (lower - packed[j]) & guard != guard:
@@ -164,26 +168,18 @@ def _signature_checks(
                 )
     out.append(
         CheckResult(
-            "move-monotonicity",
-            p,
-            q,
-            not rise_bad,
-            rise_bad or f"{edges} move edges all raise dimension",
+            "move-monotonicity", p, q, True, f"{edges} move edges all raise dimension"
         )
     )
 
-    extremes_ok = poset.maximum() == top and poset.minimal_elements() == [
-        c for c, closed in zip(elements, closed_flags) if closed
-    ]
-    out.append(
-        CheckResult(
-            "poset-extremes",
-            p,
-            q,
-            extremes_ok,
-            f"maximum {format_clan(top)}, {closed_count} minimal elements",
-        )
-    )
+    try:
+        extremes_ok = poset.maximum() == top and poset.minimal_elements() == [
+            c for c, closed in zip(elements, closed_flags) if closed
+        ]
+        extremes = f"maximum {format_clan(top)}, {closed_count} minimal elements"
+    except RuntimeError as exc:  # no single top
+        extremes_ok, extremes = False, str(exc)
+    out.append(CheckResult("poset-extremes", p, q, extremes_ok, extremes))
 
     out.append(
         CheckResult(
