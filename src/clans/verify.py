@@ -147,9 +147,9 @@ def _signature_checks(
         )
     )
 
-    # build_poset has refused any move edge that does not raise the
-    # dimension, so one walk over the edges counts them and checks
-    # prefix-count monotonicity.  The order is the reflexive-transitive
+    # build_poset refuses a move edge that does not raise the dimension, so
+    # the walk over the edges only counts them and checks prefix-count
+    # monotonicity.  The order is the reflexive-transitive
     # closure of the move edges and componentwise domination is reflexive
     # and transitive, so checking every move edge checks every relation.
     packed, guard = _packed_prefix_counts(elements, n)
@@ -173,12 +173,14 @@ def _signature_checks(
     )
 
     try:
-        extremes_ok = poset.maximum() == top and poset.minimal_elements() == [
+        maximum = poset.maximum()
+    except RuntimeError as exc:  # no single top
+        extremes_ok, extremes = False, str(exc)
+    else:
+        extremes_ok = maximum == top and poset.minimal_elements() == [
             c for c, closed in zip(elements, closed_flags) if closed
         ]
         extremes = f"maximum {format_clan(top)}, {closed_count} minimal elements"
-    except RuntimeError as exc:  # no single top
-        extremes_ok, extremes = False, str(exc)
     out.append(CheckResult("poset-extremes", p, q, extremes_ok, extremes))
 
     out.append(

@@ -257,8 +257,8 @@ def diagnosis_under_true_order(n):
         monoid = oracles.monoid_down_sets(p, n - p)
         for target in poset.elements:
             w = springer_diagnosis(poset, target)
-            moved = w and (w.closed, w.budget, w.count, w.hits)
-            assert monoid_diagnosis(monoid[target], target) == moved, format_clan(target)
+            expected = None if w is None else (w.closed, w.budget, w.count, w.hits)
+            assert monoid_diagnosis(monoid[target], target) == expected, format_clan(target)
             targets += 1
             failing += w is not None
     return targets, failing
