@@ -5,6 +5,7 @@ import operator
 
 import pytest
 
+import clans.poset
 from clans import (
     OrbitPoset,
     base_dimension,
@@ -128,6 +129,25 @@ def test_cli_verify_reports_a_non_increasing_edge_in_one_line(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert err == ""
     assert _fail_lines(out.splitlines()) == [FLAT_EDGE_FAIL]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_verify_reports_a_missing_element_in_one_line(monkeypatch, capsys, jobs):
+    # the enumeration drops 1,+,1,-, which the first clan's pair creation makes;
+    # with two jobs the refusal is raised in a worker
+    enumerate_all = clans.poset.enumerate_clans
+    dropped = parse_clan("1,+,1,-", 2, 2)
+    monkeypatch.setattr(
+        "clans.poset.enumerate_clans",
+        lambda p, q: [c for c in enumerate_all(p, q) if c != dropped],
+    )
+    assert cli.main(["verify", "--max-n", "4", "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _fail_lines(out.splitlines()) == [
+        "FAIL count p=2 q=2: move result 1,+,1,- of +,+,-,- "
+        "is not among the 20 enumerated clans"
+    ]
 
 
 def test_poset_extremes_reports_two_tops(monkeypatch):
