@@ -14,6 +14,13 @@ that makes the relation antisymmetric.  :func:`build_poset` checks it once
 per move edge and aborts loudly on a move that fails it instead of dropping
 the edge, since that would mean the move rules are implemented wrong.
 
+A clan is its signs, by position, and a pairing of the other positions.  A
+creation pairs two signs, a slide moves one sign, and an exchange of u and v
+keeps the signs and trades pairs {u, m(u)}, {v, m(v)} for {u, m(v)}, {v, m(u)},
+as does its twin, the exchange of m(u) and m(v).  So two moves make the same
+clan iff they are twins (a test pins it too); :func:`successors` keeps the twin
+whose u is a right end.
+
 Every move result is numbered as it is made.  A canonical clan numbers its
 pairs by where they open, and a move makes at most one pair open anew, at a
 position y left of its old opening x.  Creation at signs i < j has y = i and
@@ -81,6 +88,10 @@ class NonIncreasingMoveError(RuntimeError):
     """A generated move failed to raise the dimension; the move rules are broken."""
 
 
+class _MissingElementError(RuntimeError):
+    """A move result is not among the enumerated clans; the enumeration is broken."""
+
+
 class PosetSizeError(ValueError):
     """Requested signature is above the configured size bound."""
 
@@ -94,8 +105,9 @@ class Move:
     result: Clan
 
 
-def _move_results(clan: Clan) -> list[tuple[str, int, int, tuple]]:
-    """(kind, i, j, result entries) of every move in :func:`moves` order; i, j count from 1."""
+def _move_results(clan: Clan, labelled: bool = True) -> list:
+    """(kind, i, j, result entries) of every move in :func:`moves` order, i and j counting
+    from 1; unlabelled, the entries of each distinct result once (see the module docstring)."""
     entries = clan.entries
     signs, ends, before, left, mate = [], [], [], [], [0] * len(entries)
     for pos, e in enumerate(entries):
@@ -113,11 +125,12 @@ def _move_results(clan: Clan) -> list[tuple[str, int, int, tuple]]:
     def renumbered(k: int, b: int) -> list:
         """The entries with numbers k+1..b-1 raised by one and b renamed to k+1."""
         new = list(entries)
-        for e, i in enumerate(left[k : b - 1], start=k + 2):
-            new[i] = new[mate[i]] = e
-        if k < b <= len(left):
-            i = left[b - 1]
-            new[i] = new[mate[i]] = k + 1
+        if b > k + 1:  # else no number changes
+            for e, i in enumerate(left[k : b - 1], start=k + 2):
+                new[i] = new[mate[i]] = e
+            if b <= len(left):
+                i = left[b - 1]
+                new[i] = new[mate[i]] = k + 1
         return new
 
     out = []
@@ -128,24 +141,25 @@ def _move_results(clan: Clan) -> list[tuple[str, int, int, tuple]]:
             if entries[j] != s:
                 new = shifted.copy()
                 new[i] = new[j] = k + 1
-                out.append((PAIR_CREATION, i + 1, j + 1, tuple(new)))
+                out.append((PAIR_CREATION, i + 1, j + 1, tuple(new)) if labelled else tuple(new))
     for c, v in enumerate(ends):  # v - c signs lie before v
         if v > mate[v]:  # a right endpoint slides right, opening nothing anew
             for u in signs[v - c :]:
                 new = list(entries)
                 new[u], new[v] = new[v], new[u]
-                out.append((ENDPOINT_SLIDE, v + 1, u + 1, tuple(new)))
+                out.append((ENDPOINT_SLIDE, v + 1, u + 1, tuple(new)) if labelled else tuple(new))
             continue
         for u in signs[: v - c]:
             new = renumbered(before[u], entries[v])
             new[u], new[v] = new[v], new[u]
-            out.append((ENDPOINT_SLIDE, u + 1, v + 1, tuple(new)))
+            out.append((ENDPOINT_SLIDE, u + 1, v + 1, tuple(new)) if labelled else tuple(new))
     for u, v in combinations(ends, 2):
-        if mate[u] < mate[v]:  # false when u and v are one pair's two ends
+        # false for one pair's two ends and, unlabelled, for the twin with u a left end
+        if mate[u] < mate[v] and (labelled or u > mate[u]):
             y, z = (u, v) if u > mate[u] else (mate[u], mate[v])  # see the module docstring
             new = renumbered(before[y], entries[v])
             new[y], new[z] = new[z], new[y]
-            out.append((PAIR_EXCHANGE, u + 1, v + 1, tuple(new)))
+            out.append((PAIR_EXCHANGE, u + 1, v + 1, tuple(new)) if labelled else tuple(new))
     return out
 
 
@@ -162,12 +176,20 @@ def moves(clan: Clan) -> list[Move]:
 
 def successors(clan: Clan) -> set[Clan]:
     """Distinct one-move enlargements of the clan, each built as a ``Clan`` once."""
-    return {_trusted_clan(r, clan.p, clan.q) for r in {r for _, _, _, r in _move_results(clan)}}
+    p, q = clan.p, clan.q
+    return {_trusted_clan(r, p, q) for r in _move_results(clan, labelled=False)}
 
 
 def _successor_indices(index: dict[tuple, int], clan: Clan) -> tuple[int, ...]:
     """Ascending element indices of the clan's successors; the ``Clan`` set dies here."""
-    return tuple(sorted(index[s.entries] for s in successors(clan)))
+    try:
+        return tuple(sorted(index[s.entries] for s in successors(clan)))
+    except KeyError as exc:
+        missing = format_clan(_trusted_clan(exc.args[0], clan.p, clan.q))
+        raise _MissingElementError(
+            f"move result {missing} of {format_clan(clan)} is not among the {len(index)} "
+            "enumerated clans"
+        ) from None
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -34,7 +34,7 @@ from .core import (
     prefix_signature,
 )
 from .patterns import _decompose, includes_any, structural_check, verify_certificate
-from .poset import NonIncreasingMoveError, build_poset
+from .poset import NonIncreasingMoveError, _MissingElementError, build_poset
 from .springer import springer_diagnosis
 
 
@@ -107,6 +107,8 @@ def _signature_checks(
         poset = build_poset(p, q, jobs=jobs)
     except NonIncreasingMoveError as exc:
         return [CheckResult("move-monotonicity", p, q, False, str(exc))]
+    except _MissingElementError as exc:
+        return [CheckResult("count", p, q, False, str(exc))]
     out: list[CheckResult] = []
     elements, dims = poset.elements, poset.dims
     closed_flags = list(map(is_closed, elements))

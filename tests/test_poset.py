@@ -34,6 +34,8 @@ from clans import (
     successors,
 )
 
+from clans.poset import _move_results
+
 import oracles
 from strategies import random_clans
 
@@ -50,6 +52,16 @@ def assert_moves_match_naive_oracle(clan):
     assert successors(clan) == {result for _, _, result in naive}
     for mv in got:
         assert mv.result == Clan(mv.result.entries, mv.result.p, mv.result.q)
+
+
+def assert_distinct_results_once(clan):
+    # the unlabelled kernel makes each distinct move result once; in moves(),
+    # an exchange's result comes once more, from its twin, and from no other move
+    distinct = _move_results(clan, labelled=False)
+    labelled = Counter(mv.result.entries for mv in moves(clan))
+    assert len(distinct) == len(set(distinct)) and set(distinct) == set(labelled)
+    for mv in moves(clan):
+        assert labelled[mv.result.entries] == (2 if mv.kind == PAIR_EXCHANGE else 1)
 
 
 class TestMoves:
@@ -118,6 +130,23 @@ class TestMoves:
         # are plain swaps; both need clans with many pairs to be exercised
         assert_moves_match_naive_oracle(clan)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_distinct_results_once(self, n):
+        for p in range(n + 1):
+            for clan in enumerate_clans(p, n - p):
+                assert_distinct_results_once(clan)
+
+    @pytest.mark.slow
+    def test_distinct_results_once_n8(self):
+        for p in range(9):
+            for clan in enumerate_clans(p, 8 - p):
+                assert_distinct_results_once(clan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_clans(st.integers(8, 12)))
+    def test_distinct_results_once_past_exhaustive_range(self, clan):
+        assert_distinct_results_once(clan)
+
     @settings(max_examples=200, deadline=None)
     @given(random_clans(st.integers(8, 12)))
     def test_moves_order(self, clan):
@@ -158,20 +187,23 @@ class TestMoves:
 
     @staticmethod
     def move_counts(p, q):
+        """Moves by kind, distinct successors, and results the unlabelled kernel makes."""
         elements = enumerate_clans(p, q)
         kinds = Counter(mv.kind for clan in elements for mv in moves(clan))
-        return kinds, sum(len(successors(clan)) for clan in elements)
+        distinct = sum(len(successors(clan)) for clan in elements)
+        return kinds, distinct, sum(len(_move_results(c, labelled=False)) for c in elements)
 
     def test_move_counts_pinned_4_4(self):
-        kinds, distinct = self.move_counts(4, 4)
+        kinds, distinct, made = self.move_counts(4, 4)
         assert kinds == {PAIR_CREATION: 12040, ENDPOINT_SLIDE: 12320, PAIR_EXCHANGE: 8820}
-        assert sum(kinds.values()) == 33180 and distinct == 28770
+        assert sum(kinds.values()) == 33180 and distinct == made == 28770
 
     def test_move_counts_pinned_5_4(self):
-        # the benchmark's poset54 counts: build_poset calls successors only
-        kinds, distinct = self.move_counts(5, 4)
+        # the benchmark's poset54 counts: build_poset calls successors only,
+        # and its kernel makes each of the 124,950 results once
+        kinds, distinct, made = self.move_counts(5, 4)
         assert kinds == {PAIR_CREATION: 47880, ENDPOINT_SLIDE: 56280, PAIR_EXCHANGE: 41580}
-        assert sum(kinds.values()) == 145740 and distinct == 124950
+        assert sum(kinds.values()) == 145740 and distinct == made == 124950
 
 
 class TestBuildPoset:
