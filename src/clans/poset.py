@@ -15,11 +15,13 @@ per move edge and aborts loudly on a move that fails it instead of dropping
 the edge, since that would mean the move rules are implemented wrong.
 
 A clan is its signs, by position, and a pairing of the other positions.  A
-creation pairs two signs, a slide moves one sign, and an exchange of u and v
-keeps the signs and trades pairs {u, m(u)}, {v, m(v)} for {u, m(v)}, {v, m(u)},
-as does its twin, the exchange of m(u) and m(v).  So two moves make the same
-clan iff they are twins (a test pins it too); :func:`successors` keeps the twin
-whose u is a right end.
+creation turns two signs into a pair and a slide moves one sign, so a result's
+signs show the kind and, for these two, the positions.  An exchange of u and v
+keeps the signs and trades the pairs {u, m(u)}, {v, m(v)} for {u, m(v)},
+{v, m(u)}; of the other swaps between those two pairs, only its twin, the
+exchange of m(u) and m(v), does the same.  So two moves make the same clan iff
+they are twins (a test pins it too); :func:`successors` keeps the twin whose u
+is a right end.
 
 Every move result is numbered as it is made.  A canonical clan numbers its
 pairs by where they open, and a move makes at most one pair open anew, at a
@@ -175,7 +177,7 @@ def moves(clan: Clan) -> list[Move]:
 
 
 def successors(clan: Clan) -> set[Clan]:
-    """Distinct one-move enlargements of the clan, each built as a ``Clan`` once."""
+    """Distinct one-move enlargements of the clan, each made and built as a ``Clan`` once."""
     p, q = clan.p, clan.q
     return {_trusted_clan(r, p, q) for r in _move_results(clan, labelled=False)}
 

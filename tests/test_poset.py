@@ -58,9 +58,10 @@ def assert_distinct_results_once(clan):
     # the unlabelled kernel makes each distinct move result once; in moves(),
     # an exchange's result comes once more, from its twin, and from no other move
     distinct = _move_results(clan, labelled=False)
-    labelled = Counter(mv.result.entries for mv in moves(clan))
+    got = moves(clan)
+    labelled = Counter(mv.result.entries for mv in got)
     assert len(distinct) == len(set(distinct)) and set(distinct) == set(labelled)
-    for mv in moves(clan):
+    for mv in got:
         assert labelled[mv.result.entries] == (2 if mv.kind == PAIR_EXCHANGE else 1)
 
 
