@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, classify, poset, verify, stats.  All output is
 deterministic: identical flags give byte-identical bytes for any --jobs
-value.  Exit codes: 0 success, 1 check failure, 2 usage error.  Every usage
-error is one `error:` line on stderr, printed by `main` alone.
+value.  Exit codes: 0 success, 1 check failure, 2 usage error or a poset
+build refused by the engine.  Each of those is one `error:` line on stderr,
+printed by `main` alone.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from collections import Counter
 
 from ._parallel import ordered_map
 from .core import (
+    MINUS,
+    PLUS,
     Clan,
     ClanError,
     canonicalize,
@@ -27,7 +30,14 @@ from .core import (
     parse_clan,
 )
 from .patterns import classify, is_rationally_smooth, verdict_json
-from .poset import PosetSizeError, build_poset, export_dot, export_tsv
+from .poset import (
+    NonIncreasingMoveError,
+    PosetSizeError,
+    _MissingElementError,
+    build_poset,
+    export_dot,
+    export_tsv,
+)
 from .verify import report_lines, run_checks
 
 VERIFY_MAX_N = 8
@@ -137,15 +147,26 @@ def _check_size(p: int, q: int, census: bool) -> None:
         raise _UsageError(f"({p},{q}) has {total} clans, above the bound {ENUMERATE_MAX_CLANS}")
 
 
-def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool]]:
-    """The clans of (p, q) and their smoothness verdicts.
+_SWAPPED = {PLUS: MINUS, MINUS: PLUS}
 
-    A clan and its reversal share a verdict (see :mod:`clans.patterns`), so
-    only the first of each reversal pair in token order is classified.
+
+def _sign_swap(entries: tuple) -> tuple:
+    return tuple([_SWAPPED.get(e, e) for e in entries])
+
+
+def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool], list[int]]:
+    """The clans of (p, q), their smoothness verdicts and their dimensions.
+
+    A clan, its reversal and, when p = q, the sign swaps of both share a
+    verdict (see :mod:`clans.patterns`) and a dimension: reversal maps the
+    pairs (i, j) to (n+1-j, n+1-i), keeping their lengths and crossings, and
+    the sign swap keeps the pairs.  So only the first of each such class in
+    token order is classified and measured.  The sign swap leaves the pair
+    numbering alone, so it needs no renumbering.
     """
     _check_size(args.p, args.q, census=True)
     clans = enumerate_clans(args.p, args.q)
-    pending: dict[tuple, int] = {}  # a classified clan's reversal -> its slot
+    pending: dict[tuple, int] = {}  # a classified clan's class member -> its slot
     firsts: list[Clan] = []
     slots = []
     for c in clans:
@@ -153,15 +174,19 @@ def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool]]:
         if slot is None:
             slot = len(firsts)
             firsts.append(c)
-            pending[canonicalize(reversed(c.entries)).entries] = slot
+            mirror = canonicalize(reversed(c.entries)).entries
+            pending[mirror] = slot
+            if args.p == args.q:
+                pending[_sign_swap(c.entries)] = pending[_sign_swap(mirror)] = slot
         slots.append(slot)
     verdicts = ordered_map(is_rationally_smooth, firsts, args.jobs)
-    return clans, [verdicts[slot] for slot in slots]
+    dims = [dimension(c) for c in firsts]
+    return clans, [verdicts[slot] for slot in slots], [dims[slot] for slot in slots]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     keys = ("clan", "dim", "closed", "rationally_smooth")
-    rows = ((format_clan(c), dimension(c), is_closed(c), ok) for c, ok in zip(*_census(args)))
+    rows = ((format_clan(c), dim, is_closed(c), ok) for c, ok, dim in zip(*_census(args)))
     if args.format == "json":
         text = json.dumps([dict(zip(keys, row)) for row in rows], indent=2)
     else:
@@ -199,8 +224,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    clans, smooth = _census(args)
-    histogram = Counter(dimension(c) for c in clans)
+    clans, smooth, dims = _census(args)
+    histogram = Counter(dims)
     smooth_count = sum(1 for ok in smooth if ok)
     totals = {
         "clans": len(clans),
@@ -226,7 +251,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ClanError, PosetSizeError, _UsageError) as exc:
+    except (
+        ClanError,
+        PosetSizeError,
+        NonIncreasingMoveError,
+        _MissingElementError,
+        _UsageError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,13 +11,58 @@ The decomposition alone is not a smoothness proof: (1,+,-,1) still peels to
 its closed interior (+,-) even though its closure is singular.  What carries
 the burden is a structural test (laminar pairs, constant signs inside a pair,
 signs nesting into inner pairs); behind that gate a certificate is built in
-one walk per node, and the equivalence of the gate with pattern avoidance is
-verified exhaustively by the test suite rather than assumed.
+one walk per node.  The gate equals pattern avoidance by the proof below,
+and the test suite also checks that exhaustively.
+
+Avoidance in one pass.  Call a clan a word of blocks when it is a
+concatenation of blocks of three kinds:
+
+(i) one sign;
+(ii) one pair around a sign-free word of noncrossing pairs;
+(iii) m >= 1 nested pairs around r >= 1 equal signs.
+
+Avoiding the seven patterns, passing the structural test, being a word of
+blocks and passing the scan of :func:`is_rationally_smooth` are the same:
+
+- A word of blocks avoids the patterns.  Its pairs do not cross, so 1,2,1,2
+  does not embed.  A pair holding a sign lies in a block of kind (iii), whose
+  signs agree and lie inside each of its pairs.  So no pair holds two
+  different signs (1,+,-,1 and 1,-,+,1), nor a sign beside a pair nested in
+  it (1,+,2,2,1 and its three variants).
+- An avoider passes the structural test: a crossing embeds 1,2,1,2, a pair
+  holding two different signs embeds 1,+,-,1 or 1,-,+,1, and a sign inside a
+  pair but left or right of a pair nested in it embeds one of the four
+  five-letter patterns.
+- A clan passing the structural test is a word of blocks.  Its pairs do not
+  cross, so it splits into the signs inside no pair, each of kind (i), and
+  its outermost pairs, each with what lies between its ends.  An outermost
+  pair holding no sign is of kind (ii).  One holding a sign holds only equal
+  signs, and each pair nested in it holds them all; two such pairs share a
+  position, so they nest.  Hence its pairs form a chain around its signs:
+  kind (iii).
+- The scan accepts exactly the words of blocks.  Reading left to right with
+  a stack of open pairs, it refuses the clan when
+
+  1. a closing number is not the top of the stack;
+  2. inside one outermost pair, two different signs appear;
+  3. inside one outermost pair, a pair opens after a sign;
+  4. inside one outermost pair, a sign comes after an inner pair has closed.
+
+  Rule 1 refuses exactly the crossings: if the top is not the closing
+  pair, the top opened inside it and closes outside it, and if (a, b) and
+  (c, d) cross with a < c < b < d, pair c is open above pair a at b.  With
+  no crossing, rules 2-4 pass every sign inside no pair and every
+  outermost pair holding no sign: kinds (i) and (ii).  They pass an
+  outermost pair holding signs exactly when its signs agree (2) and every
+  pair inside it opens before the first sign (3) and closes after the last
+  (4): kind (iii).
 
 The seven patterns are closed under reversal (reading a clan right to left
-and renumbering): an embedding read backwards embeds the reversed pattern, so
-a clan and its reversal get the same verdict.  The census of ``clans.cli``
-relies on this and classifies one clan per reversal pair.
+and renumbering) and under the sign swap that exchanges + and -: an
+embedding read backwards, or with its signs swapped, embeds the reversed or
+swapped pattern.  So a clan, its reversal and their sign swaps share a
+verdict.  The census of ``clans.cli`` relies on this and classifies one clan
+per class.
 
 Known caveat, pinned in the findings test module: clans including
 1,2,2,3,3,1 classify as smooth here although their closures fail the
@@ -65,7 +110,9 @@ from .core import (
 #: Inclusion of any of these seven patterns makes the orbit closure not
 #: rationally smooth.  Order fixed for deterministic witnesses.  Reversal maps
 #: the set to itself (the first two swap, the last four swap in pairs, 1,2,1,2
-#: is its own), so avoidance is reversal-invariant; the census relies on it.
+#: is its own), and so does the sign swap + <-> - (the first two swap, the last
+#: four swap in neighbouring pairs, 1,2,1,2 is its own).  So avoidance is
+#: invariant under both; the census relies on it.
 FORBIDDEN_PATTERNS: tuple[Clan, ...] = (
     canonicalize((1, PLUS, MINUS, 1)),
     canonicalize((1, MINUS, PLUS, 1)),
@@ -152,8 +199,33 @@ def includes_any(host: Clan) -> Optional[tuple[Clan, tuple[int, ...]]]:
 
 
 def is_rationally_smooth(clan: Clan) -> bool:
-    """True iff the clan avoids all seven forbidden patterns."""
-    return includes_any(clan) is None
+    """True iff the clan avoids all seven forbidden patterns.
+
+    One left-to-right scan under the four rules that the module docstring
+    proves equal to avoidance.
+    """
+    stack: list[int] = []  # the open pairs
+    opened = 0  # pairs opened so far: a larger number opens the next one
+    sign = None  # the sign seen inside the open outermost pair
+    closed = False  # an inner pair of the open outermost pair has closed
+    for e in clan.entries:
+        if isinstance(e, str):
+            if stack:
+                if closed or sign not in (None, e):  # rules 4 and 2
+                    return False
+                sign = e
+        elif e > opened:
+            if sign is not None:  # rule 3
+                return False
+            opened = e
+            stack.append(e)
+        elif e != stack.pop():  # rule 1
+            return False
+        elif stack:
+            closed = True
+        else:
+            sign, closed = None, False
+    return True
 
 
 _SIGNS = frozenset((PLUS, MINUS))

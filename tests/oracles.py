@@ -239,6 +239,13 @@ def reversed_clan(clan: Clan) -> Clan:
     return Clan(tuple(entries), clan.p, clan.q)
 
 
+def swapped_clan(clan: Clan) -> Clan:
+    """The clan with every "+" and "-" exchanged, a clan of (q, p); the
+    constructor checks that the pair numbering is still canonical."""
+    swap = {"+": "-", "-": "+"}
+    return Clan(tuple(swap.get(e, e) for e in clan.entries), clan.q, clan.p)
+
+
 def rank_invariants(clan: Clan):
     """Semicontinuous invariants of the orbit: intersection dimensions of the
     flag with its theta-image, plus the two prefix counts.

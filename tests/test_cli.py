@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from clans import _parallel, cli, enumerate_clans, format_clan, is_rationally_smooth
+from clans import (
+    _parallel,
+    cli,
+    dimension,
+    enumerate_clans,
+    format_clan,
+    is_rationally_smooth,
+    parse_clan,
+    poset,
+)
 from clans.cli import _census, main
 
 #: The environment for a fresh interpreter: it imports clans from this checkout.
@@ -122,18 +131,29 @@ def test_census_pinned_4_4(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
 
 
+def census_class(clan):
+    """The clans sharing a verdict and a dimension with this one in its
+    census: its reversal and, when p = q, the sign swaps of both."""
+    members = {clan, oracles.reversed_clan(clan)}
+    if clan.p == clan.q:
+        members |= {oracles.swapped_clan(c) for c in members}
+    return frozenset(members)
+
+
 class TestCensusByReversalPair:
-    """The census classifies one clan per reversal pair and copies its verdict."""
+    """The census classifies and measures one clan per class of reversal and,
+    when p = q, sign swap, and copies its verdict and dimension."""
 
     @pytest.mark.parametrize("n", [*range(9), pytest.param(9, marks=pytest.mark.slow)])
     def test_verdicts_match_direct_classification(self, n):
         for p in range(n + 1):
-            clans, verdicts = _census(argparse.Namespace(p=p, q=n - p, jobs=1))
+            clans, verdicts, dims = _census(argparse.Namespace(p=p, q=n - p, jobs=1))
             assert clans == enumerate_clans(p, n - p)
             assert verdicts == [is_rationally_smooth(c) for c in clans], (p, n - p)
+            assert dims == [dimension(c) for c in clans], (p, n - p)
 
-    def test_one_call_per_reversal_class_4_4(self, capsys, monkeypatch):
-        classes = {frozenset((c, oracles.reversed_clan(c))) for c in enumerate_clans(4, 4)}
+    @staticmethod
+    def census_calls(capsys, monkeypatch, p, q):
         called = []
 
         def counting(clan):
@@ -141,17 +161,33 @@ class TestCensusByReversalPair:
             return is_rationally_smooth(clan)
 
         monkeypatch.setattr(cli, "is_rationally_smooth", counting)
-        assert run_main(capsys, "enumerate", "--p", "4", "--q", "4")[0] == 0
+        assert run_main(capsys, "enumerate", "--p", str(p), "--q", str(q))[0] == 0
+        return called
+
+    def test_one_call_per_reversal_class_4_4(self, capsys, monkeypatch):
+        # p = q: each class is {c, rev c, swap c, rev swap c}
+        classes = {census_class(c) for c in enumerate_clans(4, 4)}
+        assert len(classes) == 802
+        called = self.census_calls(capsys, monkeypatch, 4, 4)
         assert len(called) == len(classes)
-        assert {frozenset((c, oracles.reversed_clan(c))) for c in called} == classes
+        assert {census_class(c) for c in called} == classes
+
+    def test_one_call_per_reversal_pair_4_3(self, capsys, monkeypatch):
+        # p != q: the sign swap leaves the signature, so each class is {c, rev c}
+        classes = {frozenset((c, oracles.reversed_clan(c))) for c in enumerate_clans(4, 3)}
+        called = self.census_calls(capsys, monkeypatch, 4, 3)
+        assert len(called) == len(classes)
+        assert {census_class(c) for c in called} == classes
 
     def test_reversal_classes_5_5(self):
-        # the census55 benchmark classifies one clan of each of these classes
+        # the census55 benchmark classifies and measures one clan of each
+        # of the 11,864 classes
         clans = enumerate_clans(5, 5)
         mirrors = [oracles.reversed_clan(c) for c in clans]
         assert len(clans) == 45_297
         assert sum(m == c for c, m in zip(clans, mirrors)) == 251
         assert len({frozenset(pair) for pair in zip(clans, mirrors)}) == 22_774
+        assert len({census_class(c) for c in clans}) == 11_864
 
 
 @pytest.mark.parametrize(
@@ -282,6 +318,32 @@ class TestPoset:
         assert code == 2
         assert out == ""
         assert err == "error: p+q=10 exceeds the size bound 9\n"
+
+    def test_missing_move_result_is_one_error_line(self, capsys, monkeypatch):
+        # the enumeration drops 1,+,1,-, which the first clan's pair creation makes
+        enumerate_all = poset.enumerate_clans
+        dropped = parse_clan("1,+,1,-", 2, 2)
+        monkeypatch.setattr(
+            poset, "enumerate_clans", lambda p, q: [c for c in enumerate_all(p, q) if c != dropped]
+        )
+        assert run_main(capsys, "poset", "--p", "2", "--q", "2") == (
+            2,
+            "",
+            "error: move result 1,+,1,- of +,+,-,- is not among the 20 enumerated clans\n",
+        )
+
+    def test_non_increasing_move_is_one_error_line(self, capsys, monkeypatch):
+        # the move kernel also offers the closed +,+,-,- above 1,+,-,1
+        source, closed = parse_clan("1,+,-,1", 2, 2), parse_clan("+,+,-,-", 2, 2)
+        found = poset.successors
+        monkeypatch.setattr(
+            poset, "successors", lambda c: found(c) | {closed} if c == source else found(c)
+        )
+        assert run_main(capsys, "poset", "--p", "2", "--q", "2") == (
+            2,
+            "",
+            "error: move 1,+,-,1 -> +,+,-,- takes the dimension from 5 to 2\n",
+        )
 
 
 class TestVerify:

@@ -337,6 +337,15 @@ class TestDimension:
                     assert (d == base) == is_closed(clan)
                     assert (d == full) == (clan == top)
 
+    @pytest.mark.parametrize("n", [*range(9), pytest.param(9, marks=pytest.mark.slow)])
+    def test_degree_of_the_point_count(self, n):
+        # the orbit's F_q point count shares no code with dimension, and its
+        # degree is the orbit's dimension
+        for p in range(n + 1):
+            for clan in enumerate_clans(p, n - p):
+                poly = oracles.orbit_point_count(clan)
+                assert len(poly) - 1 == dimension(clan), format_clan(clan)
+
 
 class TestPrefixSignature:
     def test_examples(self):

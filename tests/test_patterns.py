@@ -66,6 +66,24 @@ def test_forbidden_patterns_closed_under_reversal():
     assert {oracles.reversed_clan(p) for p in FORBIDDEN_PATTERNS} == set(FORBIDDEN_PATTERNS)
 
 
+def test_forbidden_patterns_closed_under_sign_swap():
+    # at p = q the census also copies a verdict to the sign swaps
+    assert {oracles.swapped_clan(p) for p in FORBIDDEN_PATTERNS} == set(FORBIDDEN_PATTERNS)
+
+
+def assert_one_pass_verdict_agrees(clan):
+    assert (
+        is_rationally_smooth(clan)
+        == (includes_any(clan) is None)
+        == (structural_check(clan) is None)
+    ), format_clan(clan)
+
+
+def test_one_pass_verdict_agrees_up_to_8():
+    for clan in clans_up_to(8):
+        assert_one_pass_verdict_agrees(clan)
+
+
 class TestFindEmbedding:
     def test_identity(self):
         pattern = parse_clan("1,+,-,1", 2, 2)
@@ -560,3 +578,10 @@ def test_includes_any_matches_brute_force_on_long_clans(host):
             expected = (pattern, min(brute))
             break
     assert includes_any(host) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_clans(), long_clans().map(lambda drawn: drawn[0])))
+def test_one_pass_verdict_agrees_on_long_clans(clan):
+    # long_clans builds half its clans sound, so both verdicts are drawn
+    assert_one_pass_verdict_agrees(clan)
