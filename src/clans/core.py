@@ -273,26 +273,48 @@ def enumerate_clans(p: int, q: int) -> list[Clan]:
     >>> [format_clan(c) for c in enumerate_clans(1, 1)]
     ['+,-', '-,+', '1,1']
     """
+    return _clans_with_dimensions(p, q)[0]
+
+
+def _clans_with_dimensions(p: int, q: int) -> tuple[list[Clan], list[int]]:
+    """The clans of :func:`enumerate_clans`, by its walk, and their dimensions.
+
+    The walk keeps a running dimension d: it starts at the base dimension,
+    each step past a position L adds the number of pairs still open after L,
+    and closing the open pair that sits r places below the top of the stack
+    of open pairs subtracts r.  That equals :func:`dimension`.  A pair (i, j)
+    is open after L exactly for L = i, ..., j - 1, so the steps add j - i
+    for it.  When (s, t) closes at t, the pairs above it on the stack are
+    those opened after s and still open at t: the (i, j) with s < i < t < j.
+    So each crossing (s, t), (i, j) with s < i < t < j is subtracted once,
+    when (s, t) closes under (i, j), and those are exactly the crossings
+    :func:`dimension` subtracts for (i, j).  Closing the i-th of m open pairs
+    (from 0, bottom first) leaves m - 1 open and has r = m - 1 - i: it adds i.
+    """
+    clans, dims = [], []
     if p < 0 or q < 0:
-        return []
-    out: list[Clan] = []
-    # Prefixes (entries, "+" owed, "-" owed, pairs opened, open pair numbers) on
+        return clans, dims
+    # Prefixes (entries, "+" owed, "-" owed, pairs opened, open pair numbers, d) on
     # a stack, as the depth is p + q; children are pushed in reverse token order.
-    stack = [((), p, q, 0, ())]
+    stack = [((), p, q, 0, (), base_dimension(p, q))]
     while stack:
-        entries, plus, minus, k, open_ = stack.pop()
+        entries, plus, minus, k, open_, d = stack.pop()
         if not (plus or minus or open_):
-            out.append(_trusted_clan(entries, p, q))
+            clans.append(_trusted_clan(entries, p, q))
+            dims.append(d)
             continue
+        m = len(open_)
         if plus and minus:
-            stack.append((entries + (k + 1,), plus - 1, minus - 1, k + 1, open_ + (k + 1,)))
-        for i in range(len(open_) - 1, -1, -1):
-            stack.append((entries + (open_[i],), plus, minus, k, open_[:i] + open_[i + 1 :]))
+            opened = open_ + (k + 1,)
+            stack.append((entries + (k + 1,), plus - 1, minus - 1, k + 1, opened, d + m + 1))
+        for i in range(m - 1, -1, -1):
+            rest = open_[:i] + open_[i + 1 :]
+            stack.append((entries + (open_[i],), plus, minus, k, rest, d + i))
         if minus:
-            stack.append((entries + (MINUS,), plus, minus - 1, k, open_))
+            stack.append((entries + (MINUS,), plus, minus - 1, k, open_, d + m))
         if plus:
-            stack.append((entries + (PLUS,), plus - 1, minus, k, open_))
-    return out
+            stack.append((entries + (PLUS,), plus - 1, minus, k, open_, d + m))
+    return clans, dims
 
 
 def _entry_key(e: Entry) -> tuple[int, int]:

@@ -66,10 +66,9 @@ from .core import (
     PLUS,
     Clan,
     ClanError,
+    _clans_with_dimensions,
     _trusted_clan,
     apply_reflection,
-    dimension,
-    enumerate_clans,
     format_clan,
     is_closed,
     noncompact_reflections,
@@ -429,18 +428,19 @@ class OrbitPoset:
 def build_poset(p: int, q: int, *, jobs: int = 1) -> OrbitPoset:
     """Enumerate the clans of signature (p, q) and close the move relation.
 
-    Refuses p + q above :data:`POSET_MAX_N`.  Each clan's successor set is
-    resolved to element indices as soon as it is made, so one set of
-    ``Clan`` objects is alive at a time.  Successor generation may fan out
-    over `jobs` workers, which send back index tuples; the merge is ordered,
-    so the result is identical for any worker count.
+    Refuses p + q above :data:`POSET_MAX_N`.  The dimensions are read off the
+    enumeration walk, not computed by :func:`~clans.core.dimension`, which the
+    census of ``enumerate`` and ``stats`` still calls once per class.  Each
+    clan's successor set is resolved to element indices as soon as it is
+    made, so one set of ``Clan`` objects is alive at a time.  Successor
+    generation may fan out over `jobs` workers, which send back index tuples;
+    the merge is ordered, so the result is identical for any worker count.
     """
     if p + q > POSET_MAX_N:
         raise PosetSizeError(f"p+q={p + q} exceeds the size bound {POSET_MAX_N}")
-    elements = tuple(enumerate_clans(p, q))
+    elements, dims = map(tuple, _clans_with_dimensions(p, q))
     index = {c.entries: i for i, c in enumerate(elements)}
     succ = tuple(ordered_map(partial(_successor_indices, index), elements, jobs))
-    dims = tuple(dimension(c) for c in elements)
     for i, targets in enumerate(succ):
         for j in targets:
             if dims[j] <= dims[i]:

@@ -320,12 +320,17 @@ class TestPoset:
         assert err == "error: p+q=10 exceeds the size bound 9\n"
 
     def test_missing_move_result_is_one_error_line(self, capsys, monkeypatch):
-        # the enumeration drops 1,+,1,-, which the first clan's pair creation makes
-        enumerate_all = poset.enumerate_clans
+        # the enumeration walk drops 1,+,1,- and its dimension; the first
+        # clan's pair creation makes it
+        walk = poset._clans_with_dimensions
         dropped = parse_clan("1,+,1,-", 2, 2)
-        monkeypatch.setattr(
-            poset, "enumerate_clans", lambda p, q: [c for c in enumerate_all(p, q) if c != dropped]
-        )
+
+        def walk_without(p, q):
+            clans, dims = walk(p, q)
+            keep = [k for k, c in enumerate(clans) if c != dropped]
+            return [clans[k] for k in keep], [dims[k] for k in keep]
+
+        monkeypatch.setattr(poset, "_clans_with_dimensions", walk_without)
         assert run_main(capsys, "poset", "--p", "2", "--q", "2") == (
             2,
             "",

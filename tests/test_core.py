@@ -25,6 +25,7 @@ from clans import (
     prefix_signature,
     token_sort_key,
 )
+from clans.core import _clans_with_dimensions
 
 import oracles
 from strategies import clans_up_to, random_clans
@@ -345,6 +346,19 @@ class TestDimension:
             for clan in enumerate_clans(p, n - p):
                 poly = oracles.orbit_point_count(clan)
                 assert len(poly) - 1 == dimension(clan), format_clan(clan)
+
+    @pytest.mark.parametrize("n", [*range(9), pytest.param(9, marks=pytest.mark.slow)])
+    def test_walk_reads_off_every_dimension(self, n):
+        # build_poset reads its elements and dimensions off this walk
+        for p in range(n + 1):
+            found, dims = _clans_with_dimensions(p, n - p)
+            assert found == enumerate_clans(p, n - p)
+            assert dims == [dimension(c) for c in found]
+
+    def test_walk_at_the_edge_signatures(self):
+        assert _clans_with_dimensions(-1, 2) == _clans_with_dimensions(2, -1) == ([], [])
+        assert _clans_with_dimensions(-1, -1) == ([], [])
+        assert _clans_with_dimensions(0, 0) == ([Clan((), 0, 0)], [0])
 
 
 class TestPrefixSignature:

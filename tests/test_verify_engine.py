@@ -133,14 +133,17 @@ def test_cli_verify_reports_a_non_increasing_edge_in_one_line(monkeypatch, capsy
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_verify_reports_a_missing_element_in_one_line(monkeypatch, capsys, jobs):
-    # the enumeration drops 1,+,1,-, which the first clan's pair creation makes;
-    # with two jobs the refusal is raised in a worker
-    enumerate_all = clans.poset.enumerate_clans
+    # the enumeration walk drops 1,+,1,- and its dimension; the first clan's
+    # pair creation makes it; with two jobs the refusal is raised in a worker
+    walk = clans.poset._clans_with_dimensions
     dropped = parse_clan("1,+,1,-", 2, 2)
-    monkeypatch.setattr(
-        "clans.poset.enumerate_clans",
-        lambda p, q: [c for c in enumerate_all(p, q) if c != dropped],
-    )
+
+    def walk_without(p, q):
+        found, dims = walk(p, q)
+        keep = [k for k, c in enumerate(found) if c != dropped]
+        return [found[k] for k in keep], [dims[k] for k in keep]
+
+    monkeypatch.setattr("clans.poset._clans_with_dimensions", walk_without)
     assert cli.main(["verify", "--max-n", "4", "--jobs", jobs]) == 1
     out, err = capsys.readouterr()
     assert err == ""
