@@ -7,7 +7,9 @@ the four smoothness criteria (pattern avoidance, the structural test, the
 certificate, reflection counting).  ``build_poset`` checks move monotonicity
 and ``verify`` reports its verdict.  A refusal from the library becomes the
 FAIL line of the check it belongs to, never a traceback.  Any disagreement
-between the criteria is a finding to report, never something to patch over.
+between the criteria is a finding to report, never something to patch over;
+``criteria-equivalence`` names the first in token order and checks that
+signature's criteria no further.  ``jobs`` fans out only the poset build.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
 from dataclasses import dataclass
 from math import comb
 
-from ._parallel import ordered_map
 from .core import (
     Clan,
     base_dimension,
@@ -207,17 +208,21 @@ def _signature_checks(
             CheckResult("order-facts", p, q, facts_ok, "; ".join(checked))
         )
 
-    bits = ordered_map(criteria_bits, elements, jobs)
-    mismatch = ""
-    for c, (avoids, structural_ok, certificate_ok) in zip(elements, bits):
-        springer_ok = springer_diagnosis(poset, c) is None
-        if not avoids == structural_ok == certificate_ok == springer_ok:
-            mismatch = (
-                f"{format_clan(c)}: avoidance={avoids} structural={structural_ok} "
-                f"certificate={certificate_ok} springer={springer_ok}"
-            )
-            break
-    smooth = sum(1 for b in bits if b[0])
+    # Blocks of 1, 2, 4, ... clans: criteria between diagnosis calls slow each diagnosis.
+    mismatch, smooth, start = "", 0, 0
+    while start < len(elements) and not mismatch:
+        block = elements[start : 2 * start + 1]
+        bits = list(map(criteria_bits, block))
+        for c, (avoids, structural_ok, certificate_ok) in zip(block, bits):
+            springer_ok = springer_diagnosis(poset, c) is None
+            if not avoids == structural_ok == certificate_ok == springer_ok:
+                mismatch = (
+                    f"{format_clan(c)}: avoidance={avoids} structural={structural_ok} "
+                    f"certificate={certificate_ok} springer={springer_ok}"
+                )
+                break
+            smooth += avoids
+        start = 2 * start + 1
     out.append(
         CheckResult(
             "criteria-equivalence",

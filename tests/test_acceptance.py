@@ -284,6 +284,7 @@ def test_criterion_7_determinism_across_jobs():
         ("poset", "--p", "2", "--q", "2", "--format", "dot"),
         ("poset", "--p", "2", "--q", "1", "--format", "tsv"),
         ("verify", "--max-n", "5"),
+        ("verify", "--max-n", "6"),  # the first with a FAIL line: the criteria stop early
     ]
     for base in commands:
         outputs = set()

@@ -413,6 +413,61 @@ class TestOrderQueries:
                     }
 
 
+def move_edges(p, q):
+    poset = oracles.get_poset(p, q)
+    elements = poset.elements
+    return {(elements[i], elements[j]) for i, upper in enumerate(poset.succ) for j in upper}
+
+
+class TestSymmetries:
+    """Reversal keeps the signature and the sign swap maps (p,q) to (q,p).
+    Both are involutions on clans, so a map that sends a set of pairs onto
+    another set is a bijection between them."""
+
+    @staticmethod
+    def assert_move_edges_map_onto_move_edges(n):
+        for p in range(n + 1):
+            edges = move_edges(p, n - p)
+            rev, swap = oracles.reversed_clan, oracles.swapped_clan
+            assert {(rev(a), rev(b)) for a, b in edges} == edges
+            assert {(swap(a), swap(b)) for a, b in edges} == move_edges(n - p, p)
+
+    @staticmethod
+    def assert_verdicts_invariant(n):
+        for p in range(n + 1):
+            poset, mirror = oracles.get_poset(p, n - p), oracles.get_poset(n - p, p)
+            for c in poset.elements:
+                smooth = springer_diagnosis(poset, c) is None
+                assert (springer_diagnosis(poset, oracles.reversed_clan(c)) is None) == smooth
+                assert (springer_diagnosis(mirror, oracles.swapped_clan(c)) is None) == smooth
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_move_edges_map_onto_move_edges(self, n):
+        self.assert_move_edges_map_onto_move_edges(n)
+
+    @pytest.mark.slow
+    def test_move_edges_map_onto_move_edges_n8(self):
+        self.assert_move_edges_map_onto_move_edges(8)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_diagnosis_verdict_invariant(self, n):
+        self.assert_verdicts_invariant(n)
+
+    @pytest.mark.slow
+    def test_diagnosis_verdict_invariant_n8(self):
+        self.assert_verdicts_invariant(8)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_monoid_down_sets_map_onto_monoid_down_sets(self, n):
+        # the same two maps on the true closure order's down-sets
+        rev, swap = oracles.reversed_clan, oracles.swapped_clan
+        for p in range(n + 1):
+            down = oracles.monoid_down_sets(p, n - p)
+            assert {rev(t): frozenset(map(rev, d)) for t, d in down.items()} == down
+            mirror = oracles.monoid_down_sets(n - p, p)
+            assert {swap(t): frozenset(map(swap, d)) for t, d in down.items()} == mirror
+
+
 class TestHasseAndExports:
     def test_hasse_1_1(self):
         poset = oracles.get_poset(1, 1)

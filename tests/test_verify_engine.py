@@ -2,6 +2,7 @@
 
 import hashlib
 import operator
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from clans import (
     OrbitPoset,
     base_dimension,
     count_clans,
+    enumerate_clans,
     parse_clan,
     prefix_signature,
     successors,
@@ -264,6 +266,34 @@ def test_structural_check_runs_once_per_clan(monkeypatch):
     run_checks(max_n=5)
     expected = sum(count_clans(p, n - p) for n in range(1, 6) for p in range(n + 1))
     assert len(calls) == len(set(calls)) == expected
+
+
+def test_criteria_stop_at_the_first_disagreement(monkeypatch):
+    calls = {"criteria_bits": Counter(), "springer_diagnosis": Counter()}
+    for name, counter in calls.items():
+
+        def counted(*args, fn=getattr(verify, name), counter=counter):
+            counter[args[-1].p, args[-1].q] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    results, _ = run_checks(max_n=7)
+    failing = {
+        (r.p, r.q): r.detail.split(":")[0]
+        for r in results
+        if r.name == "criteria-equivalence" and not r.passed
+    }
+    assert set(failing) == {(3, 3), (4, 3), (3, 4)}
+    for n in range(1, 8):
+        for p in range(n + 1):
+            q = n - p
+            bits, diagnoses = calls["criteria_bits"][p, q], calls["springer_diagnosis"][p, q]
+            if (p, q) in failing:
+                index = enumerate_clans(p, q).index(parse_clan(failing[p, q], p, q))
+                assert index < bits <= 2 * (index + 1)
+                assert diagnoses == index + 1
+            else:
+                assert bits == diagnoses == count_clans(p, q)
 
 
 def test_golden_report_up_to_n7():
