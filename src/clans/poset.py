@@ -222,17 +222,16 @@ class OrbitPoset:
     :meth:`reflection_count`) answer the same questions by element index
     without hashing clans.  All but the first read the second table, which
     is all that the diagnosis asks about; ``verify`` reads it directly for
-    its budget statistic.  S is the closed elements in token order, then the
-    one-pair clans in token order; closedness is
-    :func:`~clans.core.is_closed`, the package's one test of it.  The second
-    table holds each element's down-set restricted to S, the (a, b) of each
-    one-pair clan, and for each closed element the S-mask of its reflection
-    images.  An index missing from it is not closed and raises
-    :class:`~clans.core.ClanError`.  A closed clan has no pairs, so its only
-    moves are pair creations, which are its reflection images; as the order
-    is move-generated, a closed element lies below t iff it is t or one of
-    its images lies below t.  Apart from the two tables, instances are
-    immutable once constructed and safe to share; build with
+    its budget statistic.  S is the closed elements in token order, then one
+    block per closed element with a position for each of its reflections;
+    closedness is :func:`~clans.core.is_closed`, the package's one test of
+    it.  The second table holds each element's down-set restricted to S and,
+    for each closed element, its block.  An index missing from it is not
+    closed and raises :class:`~clans.core.ClanError`.  A closed clan has no
+    pairs, so its only moves are pair creations, which are its reflection
+    images; as the order is move-generated, a closed element lies below t iff
+    it is t or one of its images lies below t.  Apart from the two tables,
+    instances are immutable once constructed and safe to share; build with
     :func:`build_poset`.
 
     >>> from clans.core import parse_clan
@@ -336,7 +335,7 @@ class OrbitPoset:
 
     def closed_below_indices(self, i: int) -> Iterator[int]:
         """Indices of the closed elements below element i, ascending (token order)."""
-        closed, down, below, _, _ = self._diagnosis
+        closed, down, below, _ = self._diagnosis
         mask = down[i] & below
         while mask:
             yield closed[(low := mask & -mask).bit_length() - 1]
@@ -344,64 +343,57 @@ class OrbitPoset:
 
     def reflection_hits(self, c: int, t: int) -> tuple[tuple[int, int], ...]:
         """(a, b) of each reflection of closed element c whose image lies below element t."""
-        _, down, _, pairs, images = self._diagnosis
-        mask = down[t] & images[c]
+        _, down, _, blocks = self._diagnosis
+        block, start, reflections = blocks[c]
+        mask = (down[t] & block) >> start
         hits = []
-        while mask:  # from the highest S position down: see _diagnosis
-            s = mask.bit_length() - 1
-            hits.append(pairs[s])
-            mask ^= 1 << s
+        while mask:  # from the block's low bit up: noncompact_reflections order
+            low = mask & -mask
+            hits.append(reflections[low.bit_length() - 1])
+            mask ^= low
         return tuple(hits)
 
     def reflection_count(self, c: int, t: int) -> int:
         """How many reflection images of closed element c lie below element t."""
-        _, down, _, _, images = self._diagnosis
-        return (down[t] & images[c]).bit_count()
+        _, down, _, blocks = self._diagnosis
+        return (down[t] & blocks[c][0]).bit_count()
 
     @cached_property
     def _diagnosis(self) -> tuple:
-        """(closed element indices, S-masked down-sets, closed S-mask, (a, b)
-        per one-pair S position, per closed index its images' S-mask).
+        """(closed element indices, S-masked down-sets, closed S-mask, per
+        closed index its block: (S-mask, first S position, (a, b) per position)).
 
-        One pass over the elements sorts out S: :func:`~clans.core.is_closed`
-        picks the closed ones, and a clan that is not closed has one pair iff
-        it holds no 2, by the canonical numbering.  Each image is
-        :func:`~clans.core.apply_reflection`'s, one for each (a, b) of
-        :func:`~clans.core.noncompact_reflections`.
-
-        The images of a closed clan strictly decrease in token order along
-        :func:`~clans.core.noncompact_reflections`, which lists (a, b) in
-        lexicographic order.  Take (a, b) < (a', b').  If a < a', the two
-        images agree before a, and at a the first holds 1 while the second
-        keeps its sign, as a < a' < b'.  If a = a' and b < b', they agree
-        before b, and at b the first holds 1 while the second keeps its sign.
-        Either way, at the first position where they differ, the earlier
-        reflection's image holds 1 against a sign, and 1 comes after both
-        signs.  One-pair clans take S positions in token order, so reading
-        an image mask from its highest bit down lists the reflections in
+        S opens with the closed elements in token order, picked by
+        :func:`~clans.core.is_closed`.  Then each closed element, in the same
+        order, gets a block of one position per (a, b) of
+        :func:`~clans.core.noncompact_reflections`, in that order.  Each image
+        that :func:`~clans.core.apply_reflection` makes sets its position in
+        the block of the closed clan it came from; a one-pair clan has two
+        closed preimages, its pair's ends holding +,- or -,+, so it sets one
+        position in each of their blocks.  The down-sets then gather S along
+        the move edges, so a block bit of element t is set iff that image lies
+        below t, and the block read from its low bit up lists the hits in
         :func:`~clans.core.noncompact_reflections` order.
         """
         elements, index = self.elements, self._index
-        closed, one_pair = [], []
-        for k, c in enumerate(elements):
-            if is_closed(c):
-                closed.append(k)
-            elif 2 not in c.entries:
-                one_pair.append(k)
-        order = closed + one_pair
-        position = {k: s for s, k in enumerate(order)}
-        down = [1 << position[k] if k in position else 0 for k in range(len(elements))]
+        closed = [k for k, c in enumerate(elements) if is_closed(c)]
+        down = [0] * len(elements)
+        for s, k in enumerate(closed):
+            down[k] = 1 << s
+        blocks = _ClosedTable(elements)
+        start = len(closed)
+        for k in closed:
+            c = elements[k]
+            reflections = noncompact_reflections(c)
+            for s, (a, b) in enumerate(reflections, start):
+                down[index[apply_reflection(c, a, b).entries]] |= 1 << s
+            end = start + len(reflections)
+            blocks[k] = ((1 << end) - (1 << start), start, reflections)
+            start = end
         for i in self._ascending:
             for j in self.succ[i]:
                 down[j] |= down[i]
-        pairs = [None] * len(closed) + [elements[k].pairs[0] for k in one_pair]
-        images = _ClosedTable(elements)
-        for k in closed:
-            c, mask = elements[k], 0
-            for a, b in noncompact_reflections(c):
-                mask |= 1 << position[index[apply_reflection(c, a, b).entries]]
-            images[k] = mask
-        return closed, down, (1 << len(closed)) - 1, pairs, images
+        return closed, down, (1 << len(closed)) - 1, blocks
 
     def hasse_covers(self) -> list[tuple[Clan, Clan]]:
         """Transitive-reduction edges (lower, upper), by element index."""

@@ -53,7 +53,8 @@ class BudgetStatistic:
     """How often the reflection count reaches the budget (informational).
 
     Of the ``pairs`` (closed, target) pairs with closed below target,
-    ``at_least`` reach it; each count is read off ``OrbitPoset``'s S table.
+    ``at_least`` reach it.  Each count is the popcount of the target's
+    down-set within the closed element's block of ``OrbitPoset``'s S table.
     """
 
     pairs: int = 0
@@ -233,13 +234,13 @@ def _signature_checks(
         )
     )
 
-    closed, down, below, _, images = poset._diagnosis
+    closed, down, below, blocks = poset._diagnosis
     for t, dim in enumerate(dims):
         budget, mask = dim - base, down[t] & below
         statistic.pairs += mask.bit_count()
         while mask:
             c = closed[(low := mask & -mask).bit_length() - 1]
-            statistic.at_least += (down[t] & images[c]).bit_count() >= budget
+            statistic.at_least += (down[t] & blocks[c][0]).bit_count() >= budget
             mask ^= low
 
     return out

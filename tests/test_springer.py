@@ -5,6 +5,7 @@ import json
 import operator
 import pickle
 from dataclasses import FrozenInstanceError
+from math import comb
 
 import pytest
 
@@ -282,36 +283,62 @@ class TestIndexKernelAgainstOracle:
 
 
 class TestDiagnosisTable:
-    """The diagnosis accessors read down-sets restricted to the closed and
-    one-pair elements; they must answer as the full down-sets do."""
+    """The diagnosis accessors read down-sets restricted to S: the closed
+    elements, then one block per closed element with a position for each of
+    its reflection images.  They must answer as the full down-sets do."""
+
+    @staticmethod
+    def assert_table_matches_full_down_sets(n):
+        for p in range(n + 1):
+            poset = oracles.get_poset(p, n - p)
+            elements = poset.elements
+            closed = [i for i, c in enumerate(elements) if is_closed(c)]
+            reflections = {
+                c: [
+                    (ab, poset.index_of(apply_reflection(elements[c], *ab)))
+                    for ab in noncompact_reflections(elements[c])
+                ]
+                for c in closed
+            }
+            for t in range(len(poset)):
+                below = poset.down_mask(t)
+                expected = [c for c in closed if below >> c & 1]
+                assert list(poset.closed_below_indices(t)) == expected
+                for c in expected:
+                    hits = tuple(ab for ab, img in reflections[c] if below >> img & 1)
+                    assert poset.reflection_hits(c, t) == hits
+                    assert poset.reflection_count(c, t) == len(hits)
 
     def test_table_matches_full_down_sets_up_to_7(self):
         for n in range(1, 8):
+            self.assert_table_matches_full_down_sets(n)
+
+    @pytest.mark.slow
+    def test_table_matches_full_down_sets_8(self):
+        self.assert_table_matches_full_down_sets(8)
+
+    def test_s_has_one_block_of_pq_positions_per_closed_clan_up_to_7(self):
+        # every closed clan of (p, q) has p*q noncompact reflections, so S has
+        # C(n, p) * (1 + p*q) positions: the count of rank tests that the
+        # dense orbit's diagnosis takes without a poset
+        for n in range(1, 8):
             for p in range(n + 1):
-                poset = oracles.get_poset(p, n - p)
-                elements = poset.elements
-                closed = [i for i, c in enumerate(elements) if is_closed(c)]
-                reflections = {
-                    c: [
-                        (ab, poset.index_of(apply_reflection(elements[c], *ab)))
-                        for ab in noncompact_reflections(elements[c])
-                    ]
-                    for c in closed
-                }
-                for t in range(len(poset)):
-                    below = poset.down_mask(t)
-                    expected = [c for c in closed if below >> c & 1]
-                    assert list(poset.closed_below_indices(t)) == expected
-                    for c in expected:
-                        hits = tuple(
-                            ab for ab, img in reflections[c] if below >> img & 1
-                        )
-                        assert poset.reflection_hits(c, t) == hits
-                        assert poset.reflection_count(c, t) == len(hits)
+                q = n - p
+                poset = oracles.get_poset(p, q)
+                closed, down, _, blocks = poset._diagnosis
+                assert len(closed) == comb(n, p)
+                for r, k in enumerate(closed):
+                    assert len(noncompact_reflections(poset.elements[k])) == p * q
+                    block, start, _ = blocks[k]
+                    assert start == len(closed) + r * p * q
+                    assert block == ((1 << p * q) - 1) << start
+                size = comb(n, p) * (1 + p * q)
+                assert max(mask.bit_length() for mask in down) == size
 
     def test_images_decrease_along_noncompact_reflections_up_to_7(self):
-        # reflection_hits lists hits from the highest S position down, which
-        # is noncompact_reflections order only if the images' indices fall
+        # a pinned fact about token order: a closed clan's images fall along
+        # noncompact_reflections, as where two images first differ, the
+        # earlier reflection's holds 1, which comes after both signs
         for n in range(1, 8):
             for p in range(n + 1):
                 poset = oracles.get_poset(p, n - p)
