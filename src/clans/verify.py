@@ -53,8 +53,8 @@ class BudgetStatistic:
     """How often the reflection count reaches the budget (informational).
 
     Of the ``pairs`` (closed, target) pairs with closed below target,
-    ``at_least`` reach it.  Each count is the popcount of the target's
-    down-set within the closed element's block of ``OrbitPoset``'s S table.
+    ``at_least`` reach it.  Each signature's poset counts its own pairs in
+    one sweep over its diagnosis table; ``verify`` adds them up here.
     """
 
     pairs: int = 0
@@ -234,14 +234,9 @@ def _signature_checks(
         )
     )
 
-    closed, down, below, blocks = poset._diagnosis
-    for t, dim in enumerate(dims):
-        budget, mask = dim - base, down[t] & below
-        statistic.pairs += mask.bit_count()
-        while mask:
-            c = closed[(low := mask & -mask).bit_length() - 1]
-            statistic.at_least += (down[t] & blocks[c][0]).bit_count() >= budget
-            mask ^= low
+    pairs, at_least = poset._budget_counts()
+    statistic.pairs += pairs
+    statistic.at_least += at_least
 
     return out
 

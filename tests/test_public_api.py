@@ -3,6 +3,8 @@
 import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,13 @@ def test_package_names_unchanged():
     assert set(clans.__all__) == PUBLIC
     for name in clans.__all__:
         assert hasattr(clans, name), name
+
+
+def test_only_poset_names_its_tables():
+    """``OrbitPoset``'s two lazily built tables are laid out in one module."""
+    sources = Path(inspect.getfile(clans)).parent.glob("*.py")
+    readers = {f.name for f in sources if re.search(r"\b_(diagnosis|closure)\b", f.read_text())}
+    assert readers == {"poset.py"}
 
 
 @pytest.mark.parametrize("name", MODULES)
