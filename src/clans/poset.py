@@ -67,7 +67,6 @@ from .core import (
     ClanError,
     _clans_with_dimensions,
     _trusted_clan,
-    apply_reflection,
     base_dimension,
     format_clan,
     is_closed,
@@ -247,7 +246,6 @@ class OrbitPoset:
     ) -> None:
         self.p = p
         self.q = q
-        self.n = p + q
         self.elements = elements
         self.dims = dims
         self.succ = succ
@@ -369,32 +367,32 @@ class OrbitPoset:
         S opens with the closed elements in token order, picked by
         :func:`~clans.core.is_closed`.  Then each closed element, in the same
         order, gets a block of one position per (a, b) of
-        :func:`~clans.core.noncompact_reflections`, in that order.  Each image
-        that :func:`~clans.core.apply_reflection` makes sets its position in
-        the block of the closed clan it came from; a one-pair clan has two
-        closed preimages, its pair's ends holding +,- or -,+, so it sets one
-        position in each of their blocks.  The down-sets then gather S along
-        the move edges, so a block bit of element t is set iff that image lies
-        below t, and the block read from its low bit up lists the hits in
+        :func:`~clans.core.noncompact_reflections`, in that order.  A closed
+        element's successors are its reflection images (see the class
+        docstring), whose indices fall along the reflections, as where two
+        first differ the earlier holds 1, which follows both signs in token
+        order; so its successor tuple read backwards sets the block's
+        positions.  A one-pair clan has two closed preimages, its pair's ends
+        holding +,- or -,+, so it sets one position in each of their blocks.
+        The down-sets then gather S along the move edges, so a block bit of
+        element t is set iff that image lies below t, and the block read from
+        its low bit up lists the hits in
         :func:`~clans.core.noncompact_reflections` order.
         """
-        elements, index = self.elements, self._index
+        elements, succ = self.elements, self.succ
         closed = [k for k, c in enumerate(elements) if is_closed(c)]
-        down = [0] * len(elements)
-        for s, k in enumerate(closed):
-            down[k] = 1 << s
-        blocks = _ClosedTable(elements)
+        down, blocks = [0] * len(elements), _ClosedTable(elements)
         start = len(closed)
-        for k in closed:
-            c = elements[k]
-            reflections = noncompact_reflections(c)
-            for s, (a, b) in enumerate(reflections, start):
-                down[index[apply_reflection(c, a, b).entries]] |= 1 << s
+        for r, k in enumerate(closed):
+            down[k] = 1 << r
+            for s, image in enumerate(reversed(succ[k]), start):
+                down[image] |= 1 << s
+            reflections = noncompact_reflections(elements[k])
             end = start + len(reflections)
             blocks[k] = ((1 << end) - (1 << start), start, reflections)
             start = end
         for i in self._ascending:
-            for j in self.succ[i]:
+            for j in succ[i]:
                 down[j] |= down[i]
         return closed, down, (1 << len(closed)) - 1, blocks
 

@@ -338,17 +338,19 @@ class TestDiagnosisTable:
     def test_images_decrease_along_noncompact_reflections_up_to_7(self):
         # a pinned fact about token order: a closed clan's images fall along
         # noncompact_reflections, as where two images first differ, the
-        # earlier reflection's holds 1, which comes after both signs
+        # earlier reflection's holds 1, which comes after both signs; the
+        # table builds each block from the successor tuple read backwards
         for n in range(1, 8):
             for p in range(n + 1):
                 poset = oracles.get_poset(p, n - p)
-                for clan in poset.elements:
+                for k, clan in enumerate(poset.elements):
                     if is_closed(clan):
                         images = [
                             poset.index_of(apply_reflection(clan, *ab))
                             for ab in noncompact_reflections(clan)
                         ]
                         assert all(x > y for x, y in zip(images, images[1:]))
+                        assert tuple(reversed(poset.succ[k])) == tuple(images)
 
     def test_accessors_refuse_a_non_closed_index(self):
         poset = oracles.get_poset(2, 2)
