@@ -1,15 +1,13 @@
 """Self-check engine: exhaustive verification over all signatures up to a cap.
 
-Runs, per signature, the enumeration count against the closed form, the
-dimension extremes, move monotonicity, poset extremes and prefix-count
-monotonicity, a handful of pinned order facts, and the mutual equivalence of
-the four smoothness criteria (pattern avoidance, the structural test, the
-certificate, reflection counting).  ``build_poset`` checks move monotonicity
-and ``verify`` reports its verdict.  A refusal from the library becomes the
-FAIL line of the check it belongs to, never a traceback.  Any disagreement
-between the criteria is a finding to report, never something to patch over;
-``criteria-equivalence`` names the first in token order and checks that
-signature's criteria no further.  ``jobs`` fans out only the poset build.
+Per signature: the clan count against the closed form, the dimension extremes,
+move and prefix-count monotonicity, poset extremes, pinned order facts, and the
+agreement of the four smoothness criteria (pattern avoidance, the structural
+test, the certificate, reflection counting).  A cap above the poset size bound
+is refused before any work; a signature's ``build_poset`` refusal is the FAIL
+line of its check.  A disagreement between the criteria is a finding, never
+patched over: ``criteria-equivalence`` names the first in token order and checks
+that signature's criteria no further.  ``jobs`` fans out only the poset build.
 """
 
 from __future__ import annotations
@@ -35,7 +33,8 @@ from .core import (
     prefix_signature,
 )
 from .patterns import _decompose, includes_any, structural_check, verify_certificate
-from .poset import NonIncreasingMoveError, _MissingElementError, build_poset
+from .poset import POSET_MAX_N, NonIncreasingMoveError, PosetSizeError, build_poset
+from .poset import _MissingElementError
 from .springer import springer_diagnosis
 
 
@@ -92,7 +91,10 @@ def criteria_bits(clan: Clan) -> tuple[bool, bool, bool]:
 
 
 def run_checks(max_n: int = 6, jobs: int = 1) -> tuple[list[CheckResult], BudgetStatistic]:
-    """Run every check for all signatures with 1 <= p + q <= max_n."""
+    """Run every check for all signatures with 1 <= p + q <= max_n; raises
+    ``PosetSizeError`` before any work when max_n exceeds ``POSET_MAX_N``."""
+    if max_n > POSET_MAX_N:
+        raise PosetSizeError(f"p+q={max_n} exceeds the size bound {POSET_MAX_N}")
     results: list[CheckResult] = []
     statistic = BudgetStatistic()
     for n in range(1, max_n + 1):

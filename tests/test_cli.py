@@ -25,6 +25,7 @@ from clans import (
     is_rationally_smooth,
     parse_clan,
     poset,
+    verify,
 )
 from clans.cli import _census, main
 
@@ -103,7 +104,7 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, where):
         ["enumerate", "--p", "9", "--q", "9"],
         ["stats", "--p", "9", "--q", "9"],
         ["classify", "--p", "17", "--q", "17", "--clan", "x"],
-        ["verify", "--max-n", "9"],
+        ["verify", "--max-n", "10"],
         ["poset", "--p", "5", "--q", "5"],
     ],
     ids=["enumerate", "stats", "classify", "verify", "poset"],
@@ -374,11 +375,16 @@ class TestVerify:
         assert "criteria-equivalence p=3 q=3" in failing[0]
         assert "1,2,2,3,3,1" in failing[0]
 
-    def test_max_n_bound(self, capsys):
-        code, out, err = run_main(capsys, "verify", "--max-n", "9")
+    def test_max_n_bound(self, capsys, monkeypatch):
+        # the poset's own bound, checked before the first signature is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("a poset was built")
+
+        monkeypatch.setattr(verify, "build_poset", no_build)
+        code, out, err = run_main(capsys, "verify", "--max-n", "10")
         assert code == 2
         assert out == ""
-        assert err == "error: --max-n 9 exceeds the bound 8\n"
+        assert err == "error: p+q=10 exceeds the size bound 9\n"
 
 
 class TestStats:

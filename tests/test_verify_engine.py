@@ -9,6 +9,7 @@ import pytest
 import clans.poset
 from clans import (
     OrbitPoset,
+    PosetSizeError,
     base_dimension,
     count_clans,
     enumerate_clans,
@@ -64,6 +65,17 @@ def test_jobs_invariant():
     a = report_lines(*run_checks(max_n=4, jobs=1))
     b = report_lines(*run_checks(max_n=4, jobs=2))
     assert a == b
+
+
+def test_cap_above_the_poset_bound_is_refused_before_any_work(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(verify, "build_poset", no_build)
+    with pytest.raises(PosetSizeError, match=r"^p\+q=10 exceeds the size bound 9$"):
+        run_checks(max_n=10)
+    with pytest.raises(AssertionError):  # the bound itself is accepted
+        run_checks(max_n=clans.poset.POSET_MAX_N)
 
 
 def test_prefix_monotonicity_fails_on_a_bad_move_edge(monkeypatch):
@@ -317,3 +329,28 @@ def test_golden_report_up_to_n8():
     ]
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == "3623f5674bdb2f7361c6fab7ffd54c9c1929dca0cdd23085500fb737bb5bad9e"
+
+
+@pytest.mark.slow
+def test_golden_report_up_to_n9(capsys):
+    # the stdout of `clans verify --max-n 9`, at the poset's size bound: the
+    # four new FAIL lines are the sign paddings of 1,2,2,3,3,1 at length 9
+    assert cli.main(["verify", "--max-n", "9"]) == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    failing = _fail_lines(lines)
+    assert len(failing) == 10
+    assert all(line.startswith("FAIL criteria-equivalence") for line in failing)
+    agree = ": avoidance=True structural=True certificate=True springer=False"
+    assert failing[6:] == [
+        "FAIL criteria-equivalence p=3 q=6: -,-,-,1,2,2,3,3,1" + agree,
+        "FAIL criteria-equivalence p=4 q=5: +,-,-,1,2,2,3,3,1" + agree,
+        "FAIL criteria-equivalence p=5 q=4: +,+,-,1,2,2,3,3,1" + agree,
+        "FAIL criteria-equivalence p=6 q=3: +,+,+,1,2,2,3,3,1" + agree,
+    ]
+    assert lines[-2:] == [
+        "count>=budget held for 1075138/1075138 (closed, target) pairs",
+        "316/326 checks passed",
+    ]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "21a968bc08feb59ecbb1070a1f4abcf774927cd02735bb7ad13b7378bc39c821"
