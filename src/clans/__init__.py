@@ -1,11 +1,12 @@
-"""Clans, the K-orbit closure order, and smoothness of orbit closures in the
+"""Clans, the K-orbit move order, and smoothness of orbit closures in the
 flag variety for U(p,q).
 
 The package enumerates the clans of a signature (p, q), computes orbit
-dimensions, generates the closure order from its three moves, classifies
+dimensions, generates the move order from its three moves, classifies
 every orbit closure as smooth or not rationally smooth by seven-pattern
 avoidance, and cross-checks the verdicts with a structural certificate and
-with reflection counting on closed orbits.
+with reflection counting on closed orbits.  The move order misses some closure
+relations (``test_pair_split_relation_is_missed_by_the_moves`` in ``tests/test_findings.py``).
 """
 
 from .core import *

@@ -1,4 +1,4 @@
-"""The closure order on clans of a fixed signature.
+"""The move order on clans of a fixed signature, inside the closure order.
 
 Three kinds of moves enlarge an orbit:
 
@@ -8,11 +8,13 @@ Three kinds of moves enlarge an orbit:
 * pair exchange: entries of two different pairs swap, the left entry's mate
   lying left of the right entry's mate.
 
-The order is the reflexive-transitive closure of these moves over all clans
-of signature (p, q).  Every move must strictly raise the orbit dimension;
-that makes the relation antisymmetric.  :func:`build_poset` checks it once
-per move edge and aborts loudly on a move that fails it instead of dropping
-the edge, since that would mean the move rules are implemented wrong.
+The move order is the reflexive-transitive closure of these moves over all
+clans of signature (p, q); it misses some closure relations, as
+``test_pair_split_relation_is_missed_by_the_moves`` in ``tests/test_findings.py``
+shows.  Every move must strictly raise the orbit dimension; that makes the
+relation antisymmetric.  :func:`build_poset` checks it once per move edge and
+aborts loudly on a move that fails it instead of dropping the edge, since that
+would mean the move rules are implemented wrong.
 
 A clan is its signs, by position, and a pairing of the other positions.  A
 creation turns two signs into a pair and a slide moves one sign, so a result's
@@ -204,22 +206,21 @@ class _ClosedTable(dict):
 
 
 class OrbitPoset:
-    """All clans of signature (p, q) under the move-generated closure order.
+    """All clans of signature (p, q) under the move order, inside the closure order.
 
     Elements sit in enumeration order.  Two tables are built on first use.
     The first holds one down-set bitmask per element and the Hasse covers,
     so :meth:`leq` is one bit test once it is built and :meth:`upper_set`
     scans the down-sets.  The index-level accessors (:meth:`down_mask`,
-    :meth:`closed_below_indices`, :meth:`reflection_hits`,
-    :meth:`reflection_count`) answer the same questions by element index
-    without hashing clans.  All but the first read the second table, which
-    is all that the diagnosis and ``verify``'s budget statistic ask about;
-    no other module reads either table.  S is the closed elements in token
-    order, then one block per closed element with a position for each of
-    its reflections; closedness is :func:`~clans.core.is_closed`, the
-    package's one test of it.  The second table holds each element's
-    down-set restricted to S and, for each closed element, its block.  An
-    index missing from it is not closed and raises
+    :meth:`closed_below_indices`, :meth:`reflection_hits`) answer the same
+    questions by element index without hashing clans.  All but the first
+    read the second table, which is all that the diagnosis and ``verify``'s
+    budget statistic ask about; no other module reads either table.  S is
+    the closed elements in token order, then one block per closed element
+    with a position for each of its reflections; closedness is
+    :func:`~clans.core.is_closed`, the package's one test of it.  The second
+    table holds each element's down-set restricted to S and, for each closed
+    element, its block.  An index missing from it is not closed and raises
     :class:`~clans.core.ClanError`.  A closed clan has no pairs, so its only
     moves are pair creations, which are its reflection images; as the order
     is move-generated, a closed element lies below t iff it is t or one of
@@ -243,13 +244,14 @@ class OrbitPoset:
         elements: tuple[Clan, ...],
         dims: tuple[int, ...],
         succ: tuple[tuple[int, ...], ...],
+        index: dict[tuple, int],
     ) -> None:
         self.p = p
         self.q = q
         self.elements = elements
         self.dims = dims
         self.succ = succ
-        self._index = {c.entries: i for i, c in enumerate(elements)}
+        self._index = index
         self._ascending = sorted(range(len(elements)), key=dims.__getitem__)
 
     @cached_property
@@ -297,17 +299,18 @@ class OrbitPoset:
             ) from None
 
     def leq(self, a: Clan, b: Clan) -> bool:
-        """Is the a-orbit contained in the closure of the b-orbit?"""
+        """Is a below-or-equal b in the move order?  False for ``1,1,2,2`` below ``1,+,-,1``,
+        a closure relation the moves miss (``test_pair_split_relation_is_missed_by_the_moves``)."""
         low = self.index_of(a)
         return bool(self.down_mask(self.index_of(b)) >> low & 1)
 
     def lower_set(self, clan: Clan) -> set[Clan]:
-        """Every element below-or-equal the given clan."""
+        """Every element below-or-equal the given clan in the move order (see :meth:`leq`)."""
         below = bin(self.down_mask(self.index_of(clan)))[:1:-1]  # bit i is below[i]
         return {self.elements[i] for i, bit in enumerate(below) if bit == "1"}
 
     def upper_set(self, clan: Clan) -> set[Clan]:
-        """Every element above-or-equal the given clan."""
+        """Every element above-or-equal the given clan in the move order (see :meth:`leq`)."""
         i = self.index_of(clan)
         return {self.elements[j] for j, down in enumerate(self._closure[0]) if down >> i & 1}
 
@@ -338,11 +341,6 @@ class OrbitPoset:
             hits.append(reflections[low.bit_length() - 1])
             mask ^= low
         return tuple(hits)
-
-    def reflection_count(self, c: int, t: int) -> int:
-        """How many reflection images of closed element c lie below element t."""
-        _, down, _, blocks = self._diagnosis
-        return (down[t] & blocks[c][0]).bit_count()
 
     def _budget_counts(self) -> tuple[int, int]:
         """How many (closed c, target t) pairs have c below t, and in how many
@@ -441,7 +439,7 @@ def build_poset(p: int, q: int, *, jobs: int = 1) -> OrbitPoset:
                     f"move {format_clan(elements[i])} -> {format_clan(elements[j])} "
                     f"takes the dimension from {dims[i]} to {dims[j]}"
                 )
-    return OrbitPoset(p, q, elements, dims, succ)
+    return OrbitPoset(p, q, elements, dims, succ, index)
 
 
 def export_dot(poset: OrbitPoset) -> str:

@@ -20,6 +20,7 @@ from clans import (
     build_poset,
     canonicalize,
     dimension,
+    enumerate_clans,
     prefix_signature,
 )
 
@@ -288,9 +289,11 @@ def rank_dominates(lower: Clan, upper: Clan) -> bool:
     return all(map(ge, rank_vector(lower), rank_vector(upper)))
 
 
+@lru_cache(maxsize=None)
 def monoid_down_sets(p: int, q: int) -> dict[Clan, frozenset[Clan]]:
     """Every clan's down-set in the closure order, from the Richardson–Springer
-    monoid action; each relation found is a true closure relation.
+    monoid action; each relation found is a true closure relation.  Cached
+    for the session like :func:`get_poset`, so callers must not mutate it.
 
     Let s be the simple reflection at positions i, i+1.  The cross action
     s×y swaps the two entries and renumbers (so it fixes equal signs and the
@@ -449,3 +452,96 @@ def closure_point_count(elements, leq_low_high) -> list[int]:
 def is_palindromic(poly: list[int]) -> bool:
     poly = poly_trim(list(poly))
     return poly == poly[::-1]
+
+
+# ---- the Lusztig–Vogan Hecke module: stalks of intersection cohomology ----
+
+COMPACT, NONCOMPACT, REAL, ASCENT, DESCENT = (
+    "compact", "noncompact", "real", "complex-ascent", "complex-descent"
+)
+
+
+def hecke_plus_one(clan: Clan, i: int) -> tuple[str, list[tuple[Clan, list[int]]]]:
+    """The type of s = (i, i+1) for the clan (positions from 0) and
+    (T_s + 1) of its basis element, as (clan, coefficient in q) terms.
+
+    T_s is the pull-push along the P^1-fibration G/B -> G/P_s on F_q-point
+    counts; with s×g the swap of entries i, i+1, renumbered:
+
+    * equal signs (compact imaginary): T_s g = q g;
+    * opposite signs (noncompact imaginary): T_s g = s×g + g^s, where g^s
+      puts a new pair on i, i+1;
+    * i and i+1 mates (real): T_s g = (q - 2) g + (q - 1)(g1 + g2), the two
+      sign orders on i, i+1;
+    * otherwise complex: T_s g = s×g if that raises the dimension, else
+      (q - 1) g + q s×g.
+    """
+    a, b = clan.entries[i], clan.entries[i + 1]
+
+    def put(x, y) -> Clan:
+        entries = list(clan.entries)
+        entries[i], entries[i + 1] = x, y
+        return canonicalize(entries)
+
+    if a == b and isinstance(a, str):
+        return COMPACT, [(clan, [1, 1])]
+    if {a, b} == {"+", "-"}:
+        return NONCOMPACT, [(clan, [1]), (put(b, a), [1]), (put(clan.n + 1, clan.n + 1), [1])]
+    if a == b:
+        return REAL, [(clan, [-1, 1]), (put("+", "-"), [-1, 1]), (put("-", "+"), [-1, 1])]
+    crossed = put(b, a)
+    if dimension(crossed) > dimension(clan):
+        return ASCENT, [(clan, [1]), (crossed, [1])]
+    return DESCENT, [(clan, [0, 1]), (crossed, [0, 1])]
+
+
+@lru_cache(maxsize=None)
+def lusztig_vogan(p: int, q: int) -> dict[Clan, dict[Clan, tuple[int, ...]]]:
+    """P(δ, γ) for every clan γ of signature (p, q): {γ: {δ: coefficients}},
+    low degree first, holding only the δ with P(δ, γ) != 0.
+
+    With C_s = u^-1 (T_s + 1) and u^2 = q, the basis C_γ = u^-ℓ(γ) Σ P(δ, γ) δ
+    is built in ascending length ℓ, the dimension above the closed orbits'.  A
+    clan with no pair (closed) has C_γ = γ.  Otherwise pick the first s that is
+    a complex descent for γ (δ = s×γ) or real for γ (δ holds +,- on i, i+1), so
+    that ℓ(δ) = ℓ(γ) - 1; then C_γ = C_s C_δ - Σ μ(η, δ) C_η over the η < δ
+    with ℓ(δ) - ℓ(η) odd for which s is compact imaginary, a complex descent or
+    real, and μ(η, δ) is the coefficient of q^((ℓ(δ) - ℓ(η) - 1)/2) in P(η, δ)
+    (Lusztig–Vogan, Invent. Math. 71, 1983).  Every coefficient is then a
+    polynomial in q: the μ term carries u^(ℓ(γ) - ℓ(η)), an even power.
+    """
+    clans = enumerate_clans(p, q)
+    index = {c.entries: k for k, c in enumerate(clans)}
+    dims = [dimension(c) for c in clans]  # ℓ differs from it by a constant
+    steps = [  # per clan and s: (type, [(clan index, coefficient)])
+        [
+            (kind, [(index[c.entries], factor) for c, factor in terms])
+            for kind, terms in (hecke_plus_one(clan, i) for i in range(p + q - 1))
+        ]
+        for clan in clans
+    ]
+    table: list[dict[int, tuple[int, ...]]] = [{} for _ in clans]
+    for gamma in sorted(range(len(clans)), key=dims.__getitem__):
+        descents = [i for i, (kind, _) in enumerate(steps[gamma]) if kind in (REAL, DESCENT)]
+        if not descents:  # then γ has no pair: it is closed
+            assert all(isinstance(e, str) for e in clans[gamma].entries), clans[gamma]
+            table[gamma] = {gamma: (1,)}
+            continue
+        i = descents[0]
+        delta = steps[gamma][i][1][1][0]  # s×γ, or the sign order +,- on i, i+1
+        acc: dict[int, list[int]] = {}
+        for eta, poly in table[delta].items():
+            for zeta, factor in steps[eta][i][1]:
+                acc[zeta] = poly_add(acc.get(zeta, [0]), poly_mul(list(poly), factor))
+            gap = dims[delta] - dims[eta]
+            # μ(η, δ) != 0 iff deg P(η, δ) reaches (gap - 1)/2, so poly[gap // 2] exists
+            if gap % 2 and steps[eta][i][0] in (COMPACT, REAL, DESCENT) and len(poly) > gap // 2:
+                mu = poly[gap // 2]
+                for zeta, low in table[eta].items():
+                    term = q_shift([-mu * x for x in low], (gap + 1) // 2)
+                    acc[zeta] = poly_add(acc.get(zeta, [0]), term)
+        trimmed = zip(acc, map(poly_trim, acc.values()))
+        table[gamma] = {zeta: tuple(poly) for zeta, poly in trimmed if poly != [0]}
+    return {
+        clans[g]: {clans[d]: poly for d, poly in column.items()} for g, column in enumerate(table)
+    }

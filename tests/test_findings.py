@@ -15,6 +15,9 @@ truth about the geometry:
 * the F_q point count of the closure of 1,2,2,3,3,1 is not palindromic,
   which is impossible for a rationally smooth projective variety (the count
   formula is validated in-test against full flag variety totals);
+* the Lusztig–Vogan polynomials decide it: rational smoothness (every
+  P(δ, γ) = 1) holds for p+q <= 7 exactly where the diagnostic passes, so
+  the dissent is proved on both sides, not only shown by point counts;
 * exhaustively for p+q <= 7, the diagnostic equals "avoids the seven
   patterns and 1,2,2,3,3,1", i.e. the avoidance list would need that clan as
   an eighth pattern for the two criteria to coincide.
@@ -431,3 +434,103 @@ class TestPointCountReferee:
                 )
             )
             assert palin == (springer_diagnosis(poset, clan) is None)
+
+
+def hecke_vector(terms):
+    """The {clan: coefficients in q} sum of (clan, coefficients) terms,
+    trimmed, without zero coefficients."""
+    out = {}
+    for clan, coefficient in terms:
+        out[clan] = oracles.poly_add(out.get(clan, [0]), coefficient)
+    return {c: x for c, x in zip(out, map(oracles.poly_trim, out.values())) if x != [0]}
+
+
+def apply_hecke(vector, i):
+    """T_s of a {clan: coefficients in q} vector, s = (i, i+1), from the
+    oracle's T_s + 1."""
+    return hecke_vector(
+        (image, oracles.poly_mul(coefficient, factor))
+        for clan, coefficient in vector.items()
+        for image, factor in oracles.hecke_plus_one(clan, i)[1] + [(clan, [-1])]
+    )
+
+
+def assert_ic_self_checks(n):
+    """The Lusztig–Vogan self-checks over length n: P(γ, γ) = 1, deg P(δ, γ)
+    <= (ℓ(γ) - ℓ(δ) - 1)/2, no negative coefficient, the support of P(·, γ)
+    is γ's monoid down-set, and Σ_δ P(δ, γ) #δ(F_q) is palindromic of degree
+    dim γ, as intersection cohomology must be."""
+    for p in range(n + 1):
+        down = oracles.monoid_down_sets(p, n - p)
+        dims = {c: dimension(c) for c in down}
+        counts = {c: oracles.orbit_point_count(c) for c in down}
+        for gamma, column in oracles.lusztig_vogan(p, n - p).items():
+            assert column[gamma] == (1,) and set(column) == down[gamma], format_clan(gamma)
+            total = [0] * (dims[gamma] + 1)  # the degree, if the bounds hold
+            for delta, poly in column.items():
+                assert min(poly) >= 0
+                if delta != gamma:
+                    assert 2 * (len(poly) - 1) <= dims[gamma] - dims[delta] - 1
+                for k, c in enumerate(poly):
+                    for j, x in enumerate(counts[delta], start=k):
+                        total[j] += c * x
+            assert total[-1] and oracles.is_palindromic(total), format_clan(gamma)
+
+
+def ic_referee_counts(n):
+    """(clans, not rationally smooth) over length n, asserting for each clan
+    γ that every P(δ, γ) = 1 iff springer_diagnosis passes iff γ avoids the
+    seven patterns and 1,2,2,3,3,1."""
+    targets = failing = 0
+    for p in range(n + 1):
+        poset = oracles.get_poset(p, n - p)
+        for gamma, column in oracles.lusztig_vogan(p, n - p).items():
+            smooth = all(poly == (1,) for poly in column.values())
+            assert (springer_diagnosis(poset, gamma) is None) == smooth, format_clan(gamma)
+            avoids_eight = includes_any(gamma) is None and find_embedding(gamma, EIGHTH) is None
+            assert avoids_eight == smooth, format_clan(gamma)
+            targets += 1
+            failing += not smooth
+    return targets, failing
+
+
+class TestICStalkReferee:
+    """Rational smoothness decided by intersection cohomology stalks.
+
+    The closure of γ is rationally smooth iff its IC sheaf is constant, that
+    is iff every Lusztig–Vogan polynomial P(δ, γ) is 1 (Lusztig–Vogan,
+    Invent. Math. 71, 1983).  The oracle builds them from the Hecke module
+    alone: clans from enumerate_clans, dimensions from dimension, nothing
+    from clans.poset or clans.springer.  So, unlike palindromic point counts,
+    this referee proves both sides of the diagnosis."""
+
+    def test_hecke_operators_satisfy_the_quadratic_relation_up_to_5(self):
+        # (T_s + 1)(T_s - q) = 0, that is T_s T_s = (q - 1) T_s + q
+        for n in range(2, 6):
+            for p in range(n + 1):
+                for clan in enumerate_clans(p, n - p):
+                    for i in range(n - 1):
+                        once = apply_hecke({clan: [1]}, i)
+                        expected = hecke_vector(
+                            [(c, oracles.poly_mul(x, [-1, 1])) for c, x in once.items()]
+                            + [(clan, [0, 1])]
+                        )
+                        assert apply_hecke(once, i) == expected, (format_clan(clan), i)
+
+    def test_self_checks_up_to_7(self):
+        for n in range(1, 8):
+            assert_ic_self_checks(n)
+
+    def test_rational_smoothness_is_the_diagnosis_up_to_7(self):
+        # the same (clans, failing) as the point-count referee
+        assert [ic_referee_counts(n) for n in range(1, 8)] == [
+            (2, 0), (5, 0), (14, 0), (43, 3), (142, 28), (499, 175), (1850, 930),
+        ]
+
+    def test_counterexample_has_a_nontrivial_stalk_at_the_witness(self):
+        # the diagnosis's closed orbit for 1,2,2,3,3,1 sits in its singular locus
+        target = parse_clan("1,2,2,3,3,1", 3, 3)
+        column = oracles.lusztig_vogan(3, 3)[target]
+        witness = springer_diagnosis(oracles.get_poset(3, 3), target)
+        assert column[witness.closed] == (1, 1)
+        assert includes_any(target) is None

@@ -34,6 +34,7 @@ from clans import (
     successors,
 )
 
+import clans.poset
 from clans.poset import _move_results
 
 import oracles
@@ -238,7 +239,7 @@ class TestBuildPoset:
         poset = oracles.get_poset(1, 1)
         succ = list(poset.succ)
         succ[poset.index_of(parse_clan("+,-", 1, 1))] = ()
-        two_tops = OrbitPoset(1, 1, poset.elements, poset.dims, tuple(succ))
+        two_tops = OrbitPoset(1, 1, poset.elements, poset.dims, tuple(succ), poset._index)
         message = r"^\(1,1\) poset has 2 top elements, expected one$"
         with pytest.raises(RuntimeError, match=message):
             two_tops.maximum()
@@ -322,7 +323,7 @@ class TestBuildPoset:
         i, j = poset.index_of(low), poset.index_of(high)
         succ = list(poset.succ)
         succ[i] = tuple(sorted(succ[i] + (j,)))
-        edited = OrbitPoset(2, 2, poset.elements, poset.dims, tuple(succ))
+        edited = OrbitPoset(2, 2, poset.elements, poset.dims, tuple(succ), poset._index)
         assert edited.leq(low, high)
         assert j in edited.cover_indices[i]
         assert not poset.leq(low, high)
@@ -333,6 +334,19 @@ class TestBuildPoset:
         assert serial.elements == parallel.elements
         assert serial.succ == parallel.succ
         assert export_dot(serial) == export_dot(parallel)
+
+    def test_poset_keeps_the_index_the_moves_resolved_with(self, monkeypatch):
+        # one entries index per poset: OrbitPoset builds none of its own
+        seen = []
+        real = clans.poset._successor_indices
+
+        def recording(index, clan):
+            seen.append(index)
+            return real(index, clan)
+
+        monkeypatch.setattr(clans.poset, "_successor_indices", recording)
+        poset = build_poset(3, 3, jobs=1)
+        assert seen and all(index is poset._index for index in seen)
 
 
 class TestOrderQueries:
