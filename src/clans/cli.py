@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: enumerate, classify, poset, verify, stats.  All output is
-deterministic: identical flags give byte-identical bytes for any --jobs
-value.  Exit codes: 0 success, 1 check failure, 2 usage error or a poset
-build refused by the engine.  Each of those is one `error:` line on stderr,
+deterministic: identical flags give byte-identical bytes.  All work runs in
+one process; ``--jobs`` is accepted and validated, and changes nothing.
+Exit codes: 0 success, 1 check failure, 2 usage error or a poset build
+refused by the engine.  Each of those is one `error:` line on stderr,
 printed by `main` alone.
 """
 
@@ -15,7 +16,6 @@ import os
 import sys
 from collections import Counter
 
-from ._parallel import ordered_map
 from .core import (
     MINUS,
     PLUS,
@@ -60,8 +60,8 @@ def _nonnegative(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clans",
-        description="Clans, the orbit closure order, and smoothness of orbit "
-        "closures in the flag variety for U(p,q).",
+        description="Clans, the move order inside their closure order, and "
+        "smoothness of orbit closures in the flag variety for U(p,q).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=_nonnegative,
             default=1,
-            help="worker count for per-clan work; 0 = all cores (output is identical either way)",
+            help="accepted for compatibility and changes nothing: all work runs in one process",
         )
 
     enum = sub.add_parser("enumerate", help="list all clans with dimension and smoothness")
@@ -179,7 +179,7 @@ def _census(args: argparse.Namespace) -> tuple[list[Clan], list[bool], list[int]
             if args.p == args.q:
                 pending[_sign_swap(c.entries)] = pending[_sign_swap(mirror)] = slot
         slots.append(slot)
-    verdicts = ordered_map(is_rationally_smooth, firsts, args.jobs)
+    verdicts = [is_rationally_smooth(c) for c in firsts]
     dims = [dimension(c) for c in firsts]
     return clans, [verdicts[slot] for slot in slots], [dims[slot] for slot in slots]
 
@@ -209,14 +209,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    poset = build_poset(args.p, args.q, jobs=args.jobs)
+    poset = build_poset(args.p, args.q)
     text = export_dot(poset) if args.format == "dot" else export_tsv(poset)
     _emit(text, args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results, statistic = run_checks(max_n=args.max_n, jobs=args.jobs)
+    results, statistic = run_checks(max_n=args.max_n)
     _emit("\n".join(report_lines(results, statistic)) + "\n", args.out)
     return 0 if all(r.passed for r in results) else 1
 

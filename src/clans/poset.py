@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterator, NoReturn
 
@@ -74,7 +74,6 @@ from .core import (
     is_closed,
     noncompact_reflections,
 )
-from ._parallel import ordered_map
 
 PAIR_CREATION = "pair-creation"
 ENDPOINT_SLIDE = "endpoint-slide"
@@ -416,22 +415,20 @@ class OrbitPoset:
         return [c for i, c in enumerate(self.elements) if i not in entered]
 
 
-def build_poset(p: int, q: int, *, jobs: int = 1) -> OrbitPoset:
+def build_poset(p: int, q: int) -> OrbitPoset:
     """Enumerate the clans of signature (p, q) and close the move relation.
 
     Refuses p + q above :data:`POSET_MAX_N`.  The dimensions are read off the
     enumeration walk, not computed by :func:`~clans.core.dimension`, which the
     census of ``enumerate`` and ``stats`` still calls once per class.  Each
     clan's successor set is resolved to element indices as soon as it is
-    made, so one set of ``Clan`` objects is alive at a time.  Successor
-    generation may fan out over `jobs` workers, which send back index tuples;
-    the merge is ordered, so the result is identical for any worker count.
+    made, so one set of ``Clan`` objects is alive at a time.
     """
     if p + q > POSET_MAX_N:
         raise PosetSizeError(f"p+q={p + q} exceeds the size bound {POSET_MAX_N}")
     elements, dims = map(tuple, _clans_with_dimensions(p, q))
     index = {c.entries: i for i, c in enumerate(elements)}
-    succ = tuple(ordered_map(partial(_successor_indices, index), elements, jobs))
+    succ = tuple([_successor_indices(index, c) for c in elements])
     for i, targets in enumerate(succ):
         for j in targets:
             if dims[j] <= dims[i]:

@@ -7,7 +7,7 @@ test, the certificate, reflection counting).  A cap above the poset size bound
 is refused before any work; a signature's ``build_poset`` refusal is the FAIL
 line of its check.  A disagreement between the criteria is a finding, never
 patched over: ``criteria-equivalence`` names the first in token order and checks
-that signature's criteria no further.  ``jobs`` fans out only the poset build.
+that signature's criteria no further.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def criteria_bits(clan: Clan) -> tuple[bool, bool, bool]:
     return avoids, structural_ok, certificate_ok
 
 
-def run_checks(max_n: int = 6, jobs: int = 1) -> tuple[list[CheckResult], BudgetStatistic]:
+def run_checks(max_n: int = 6) -> tuple[list[CheckResult], BudgetStatistic]:
     """Run every check for all signatures with 1 <= p + q <= max_n; raises
     ``PosetSizeError`` before any work when max_n exceeds ``POSET_MAX_N``."""
     if max_n > POSET_MAX_N:
@@ -99,16 +99,14 @@ def run_checks(max_n: int = 6, jobs: int = 1) -> tuple[list[CheckResult], Budget
     statistic = BudgetStatistic()
     for n in range(1, max_n + 1):
         for p in range(n + 1):
-            results.extend(_signature_checks(p, n - p, jobs, statistic))
+            results.extend(_signature_checks(p, n - p, statistic))
     return results, statistic
 
 
-def _signature_checks(
-    p: int, q: int, jobs: int, statistic: BudgetStatistic
-) -> list[CheckResult]:
+def _signature_checks(p: int, q: int, statistic: BudgetStatistic) -> list[CheckResult]:
     n = p + q
     try:
-        poset = build_poset(p, q, jobs=jobs)
+        poset = build_poset(p, q)
     except NonIncreasingMoveError as exc:
         return [CheckResult("move-monotonicity", p, q, False, str(exc))]
     except _MissingElementError as exc:

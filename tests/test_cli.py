@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from clans import (
-    _parallel,
     cli,
     dimension,
     enumerate_clans,
@@ -148,7 +147,7 @@ class TestCensusByReversalPair:
     @pytest.mark.parametrize("n", [*range(9), pytest.param(9, marks=pytest.mark.slow)])
     def test_verdicts_match_direct_classification(self, n):
         for p in range(n + 1):
-            clans, verdicts, dims = _census(argparse.Namespace(p=p, q=n - p, jobs=1))
+            clans, verdicts, dims = _census(argparse.Namespace(p=p, q=n - p))
             assert clans == enumerate_clans(p, n - p)
             assert verdicts == [is_rationally_smooth(c) for c in clans], (p, n - p)
             assert dims == [dimension(c) for c in clans], (p, n - p)
@@ -504,9 +503,9 @@ class TestUsage:
 
 
 #: argv fragments: flags with a value, clan texts valid and not, junk.
-#: `--out` is left out (it writes files) and `--jobs` only ever takes 1, so
-#: no example starts a process pool.  `--p` and `--max-n` may be 40, which
-#: every command refuses by a bound before any work.
+#: `--out` is left out (it writes files).  `--jobs` takes valid values up to
+#: 100000, which change nothing, and -1, which argparse refuses.  `--p` and
+#: `--max-n` may be 40, which every command refuses by a bound before any work.
 small_ints = st.integers(0, 3).map(str)
 over_bound = st.one_of(small_ints, st.just("40"))
 clan_texts = st.sampled_from(
@@ -526,7 +525,7 @@ argv_pieces = st.one_of(
     st.tuples(st.just("--format"), st.sampled_from(["tsv", "dot", "json", "x"])),
     st.tuples(st.just("--clan"), clan_texts),
     st.tuples(st.just("--max-n"), over_bound),
-    st.just(("--jobs", "1")),
+    st.tuples(st.just("--jobs"), st.sampled_from(["0", "1", "2", "100000", "-1"])),
     loose_tokens.map(lambda token: (token,)),
 )
 signatures = st.tuples(over_bound, small_ints).map(lambda pq: ["--p", pq[0], "--q", pq[1]])
@@ -562,6 +561,15 @@ def test_fuzzed_argv_ends_in_an_exit_code(argv):
     assert (code == 2) == (lines != [] and lines[0].startswith("error: ")), argv
 
 
+#: Each command that takes --jobs, at a size that runs in milliseconds.
+JOBS_COMMANDS = [
+    ["enumerate", "--p", "2", "--q", "1"],
+    ["poset", "--p", "2", "--q", "1"],
+    ["verify", "--max-n", "3"],
+    ["stats", "--p", "2", "--q", "1"],
+]
+
+
 class TestDeterminismAcrossJobs:
     def test_enumerate_jobs(self, capsys):
         outs = []
@@ -591,52 +599,31 @@ class TestDeterminismAcrossJobs:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_jobs_clamped_to_cores_and_items(self, capsys, monkeypatch):
-        # the pool forks every worker on its first submit, so a huge --jobs
-        # must not reach it; the recorder runs the map serially, forking nothing
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, data, chunksize):
-                return map(fn, data)
-
-        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        _, serial, _ = run_main(capsys, "enumerate", "--p", "3", "--q", "2")
-        _, clamped, _ = run_main(
-            capsys, "enumerate", "--p", "3", "--q", "2", "--jobs", "100000"
-        )
-        assert clamped == serial
-        assert _parallel.ordered_map(abs, [-1, 2, -3], 0) == [1, 2, 3]
-        assert _parallel.ordered_map(abs, [-1], 100000) == [1]
-        assert requested == [4, 3]
-
-    def test_negative_jobs_refused_before_any_pool(self, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        with pytest.raises(ValueError, match=r"^jobs must be >= 0$"):
-            _parallel.ordered_map(abs, [1], -1)
-
     def test_cli_import_loads_no_pool(self):
-        # a fresh interpreter, since this one may have imported them already
+        # a fresh interpreter, since this one may have imported them already;
+        # every command runs at tiny sizes with the extreme valid --jobs values
         pool_modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
-        code = f"import sys, clans.cli; print([m for m in {pool_modules!r} if m in sys.modules])"
+        runs = [[*cmd, "--jobs", jobs] for cmd in JOBS_COMMANDS for jobs in ("0", "100000")]
+        code = (
+            "import contextlib, io, sys\n"
+            "from clans.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            f"print([m for m in {pool_modules!r} if m in sys.modules])\n"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", JOBS_COMMANDS, ids=lambda command: command[0])
+    def test_negative_jobs_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--jobs", "-1"])
+        assert info.value.code == 2
+        assert "argument --jobs: must be >= 0" in capsys.readouterr().err
 
     def test_verify_jobs(self, capsys):
         outs = []

@@ -328,13 +328,6 @@ class TestBuildPoset:
         assert j in edited.cover_indices[i]
         assert not poset.leq(low, high)
 
-    def test_jobs_do_not_change_result(self):
-        serial = build_poset(2, 2, jobs=1)
-        parallel = build_poset(2, 2, jobs=2)
-        assert serial.elements == parallel.elements
-        assert serial.succ == parallel.succ
-        assert export_dot(serial) == export_dot(parallel)
-
     def test_poset_keeps_the_index_the_moves_resolved_with(self, monkeypatch):
         # one entries index per poset: OrbitPoset builds none of its own
         seen = []
@@ -345,7 +338,7 @@ class TestBuildPoset:
             return real(index, clan)
 
         monkeypatch.setattr(clans.poset, "_successor_indices", recording)
-        poset = build_poset(3, 3, jobs=1)
+        poset = build_poset(3, 3)
         assert seen and all(index is poset._index for index in seen)
 
 
