@@ -51,6 +51,9 @@ from typing import Iterable, Union
 PLUS = "+"
 MINUS = "-"
 
+#: The two signs: ``e in _SIGNS`` is the package's one test of a sign.
+_SIGNS = frozenset((PLUS, MINUS))
+
 #: One clan symbol: a sign or a positive pair number.
 Entry = Union[str, int]
 
@@ -60,7 +63,8 @@ class ClanError(ValueError):
 
 
 def is_sign(entry: Entry) -> bool:
-    return entry == PLUS or entry == MINUS
+    """True iff the :data:`Entry` is a sign; the package's one sign test."""
+    return entry in _SIGNS
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class Clan:
         """
         out: list = []  # a pair's left position until its mate shows up
         for pos, e in enumerate(self.entries, start=1):
-            if e == PLUS or e == MINUS:
+            if e in _SIGNS:
                 continue
             if e > len(out):
                 out.append(pos)
@@ -206,7 +210,7 @@ def _tokens(text: str) -> list[str]:
 
 
 def _parse_token(token: str) -> Entry:
-    if token == PLUS or token == MINUS:
+    if token in _SIGNS:
         return token
     if token.isascii() and token.isdigit() and token[0] != "0":
         try:

@@ -100,11 +100,11 @@ from .core import (
     PLUS,
     MINUS,
     Clan,
+    _SIGNS,
     canonicalize,
     dimension,
     format_clan,
     is_closed,
-    is_sign,
 )
 
 #: Inclusion of any of these seven patterns makes the orbit closure not
@@ -209,9 +209,9 @@ def is_rationally_smooth(clan: Clan) -> bool:
     sign = None  # the sign seen inside the open outermost pair
     closed = False  # an inner pair of the open outermost pair has closed
     for e in clan.entries:
-        if isinstance(e, str):
+        if e in _SIGNS:
             if stack:
-                if closed or sign not in (None, e):  # rules 4 and 2
+                if closed or sign is not None and sign != e:  # rules 4 and 2
                     return False
                 sign = e
         elif e > opened:
@@ -228,7 +228,6 @@ def is_rationally_smooth(clan: Clan) -> bool:
     return True
 
 
-_SIGNS = frozenset((PLUS, MINUS))
 CROSSING_PAIRS = "crossing-pairs"
 MIXED_SIGNS = "mixed-signs"
 SIGN_OUTSIDE_INNER_PAIR = "sign-outside-inner-pair"
@@ -264,7 +263,7 @@ def structural_check(clan: Clan) -> Optional[StructuralViolation]:
                 return StructuralViolation(CROSSING_PAIRS, ((a, b), (c, d)), ())
 
     for a, b in pairs:
-        inside = [k for k in range(a + 1, b) if is_sign(entries[k - 1])]
+        inside = [k for k in range(a + 1, b) if entries[k - 1] in _SIGNS]
         for k in inside[1:]:
             if entries[k - 1] != entries[inside[0] - 1]:
                 return StructuralViolation(MIXED_SIGNS, ((a, b),), (inside[0], k))
@@ -273,7 +272,7 @@ def structural_check(clan: Clan) -> Optional[StructuralViolation]:
         for c, d in pairs:
             if a < c and d < b:
                 for k in range(a + 1, b):
-                    if is_sign(entries[k - 1]) and not c < k < d:
+                    if entries[k - 1] in _SIGNS and not c < k < d:
                         return StructuralViolation(
                             SIGN_OUTSIDE_INNER_PAIR, ((a, b), (c, d)), (k,)
                         )
@@ -399,7 +398,7 @@ def verify_certificate(clan: Clan, cert: Certificate) -> bool:
             return False  # only a leaf may cover an empty range
         if isinstance(node, SignDelete):
             k = node.position
-            if not s <= k <= e or not is_sign(entries[k - 1]):
+            if not s <= k <= e or entries[k - 1] not in _SIGNS:
                 return False
             for a, b in pairs:
                 if s <= a < k < b <= e:

@@ -63,10 +63,9 @@ from itertools import chain, combinations
 from typing import Iterator, NoReturn
 
 from .core import (
-    MINUS,
-    PLUS,
     Clan,
     ClanError,
+    _SIGNS,
     _clans_with_dimensions,
     _trusted_clan,
     base_dimension,
@@ -113,7 +112,7 @@ def _move_results(clan: Clan, labelled: bool = True) -> list:
     signs, ends, before, left, mate = [], [], [], [], [0] * len(entries)
     for pos, e in enumerate(entries):
         before.append(len(left))  # pairs opened before pos
-        if e == PLUS or e == MINUS:
+        if e in _SIGNS:
             signs.append(pos)
             continue
         ends.append(pos)

@@ -19,10 +19,13 @@ from clans import (
     enumerate_clans,
     format_clan,
     is_closed,
+    is_rationally_smooth,
+    is_sign,
     open_clan,
     pair_map,
     parse_clan,
     prefix_signature,
+    successors,
     token_sort_key,
 )
 from clans.core import _clans_with_dimensions
@@ -100,6 +103,19 @@ class _Label(int):
     """An int subclass; canonicalize accepts it as a pair number."""
 
 
+class _Sign(str):
+    """A str subclass; canonicalize keeps it as the sign given."""
+
+
+@pytest.mark.parametrize(
+    "entry, expected",
+    [("+", True), ("-", True), (_Sign("+"), True),
+     (1, False), (0, False), (None, False), ("x", False), ("+-", False)],
+)
+def test_is_sign(entry, expected):
+    assert is_sign(entry) is expected
+
+
 #: Signs, pair numbers in and out of range, an int subclass, and entries that
 #: only look like numbers or signs.
 raw_entries = st.one_of(
@@ -136,6 +152,18 @@ class TestCanonicalize:
         clan = canonicalize((_Label(2), "+", _Label(2), "-"))
         assert clan.entries == (1, "+", 1, "-")
         assert all(type(e) is int for e in clan.entries if not isinstance(e, str))
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 2)])
+    def test_str_subclass_signs_read_as_signs(self, p, q):
+        # every scan of the entries reads a kept str-subclass sign as the plain one
+        for clan in enumerate_clans(p, q):
+            sub = canonicalize(_Sign(e) if is_sign(e) else e for e in clan.entries)
+            assert all(type(e) is _Sign for e in sub.entries if is_sign(e))
+            assert sub == clan
+            assert is_rationally_smooth(sub) == is_rationally_smooth(clan)
+            assert sub.pairs == clan.pairs
+            assert format_clan(sub) == format_clan(clan)
+            assert {s.entries for s in successors(sub)} == {s.entries for s in successors(clan)}
 
     @given(
         st.one_of(

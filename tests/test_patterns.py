@@ -84,6 +84,14 @@ def test_one_pass_verdict_agrees_up_to_8():
         assert_one_pass_verdict_agrees(clan)
 
 
+@pytest.mark.slow
+def test_one_pass_verdict_agrees_at_9():
+    # the 29,186 clans with p+q = 9, one size past the sweep above
+    for p in range(10):
+        for clan in enumerate_clans(p, 9 - p):
+            assert_one_pass_verdict_agrees(clan)
+
+
 class TestFindEmbedding:
     def test_identity(self):
         pattern = parse_clan("1,+,-,1", 2, 2)

@@ -66,6 +66,34 @@ def test_only_poset_names_its_tables():
     assert readers == {"poset.py"}
 
 
+#: Spellings of "is this entry a sign?" other than ``e in _SIGNS``.
+_OTHER_SIGN_TESTS = re.compile(
+    r"== (?:PLUS|MINUS) or\b|\bisinstance\(\w+, str\)|frozenset\(\(PLUS, MINUS\)\)"
+)
+
+
+def test_one_sign_test():
+    """``core._SIGNS`` is assigned once, and no module spells the sign test another way."""
+    sources = {f.name: f.read_text() for f in Path(inspect.getfile(clans)).parent.glob("*.py")}
+    assigned = [
+        name
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_SIGNS" for t in node.targets)
+    ]
+    assert assigned == ["core.py"]
+    spelled = [
+        (name, hit.group()) for name, text in sources.items()
+        for hit in _OTHER_SIGN_TESTS.finditer(text)
+    ]
+    assert spelled == [("core.py", "frozenset((PLUS, MINUS))")]  # the definition itself
+    # which sign an entry is stays an if/elif chain, which the guard allows
+    which = inspect.getsource(clans.canonicalize)
+    assert "if e == PLUS:" in which and "elif e == MINUS:" in which
+    assert not _OTHER_SIGN_TESTS.search(which)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_lists_only_its_own_names(name):
     module = importlib.import_module(f"clans.{name}")
