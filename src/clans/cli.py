@@ -51,10 +51,9 @@ MAX_CLAN_LENGTH = 32
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError("must be >= 0, in ASCII digits")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -37,7 +37,6 @@ __all__ = [
     "is_sign",
     "noncompact_reflections",
     "open_clan",
-    "pair_map",
     "parse_clan",
     "prefix_signature",
     "token_sort_key",
@@ -227,11 +226,6 @@ def format_clan(clan: Clan) -> str:
     '1,+,1,-'
     """
     return ",".join(e if is_sign(e) else str(e) for e in clan.entries)
-
-
-def pair_map(clan: Clan) -> dict[int, tuple[int, int]]:
-    """Pair number -> (left, right) positions."""
-    return dict(enumerate(clan.pairs, start=1))
 
 
 def count_clans(p: int, q: int) -> int:

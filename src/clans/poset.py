@@ -180,18 +180,6 @@ def successors(clan: Clan) -> set[Clan]:
     return {_trusted_clan(r, p, q) for r in _move_results(clan, labelled=False)}
 
 
-def _successor_indices(index: dict[tuple, int], clan: Clan) -> tuple[int, ...]:
-    """Ascending element indices of the clan's successors; the ``Clan`` set dies here."""
-    try:
-        return tuple(sorted(index[s.entries] for s in successors(clan)))
-    except KeyError as exc:
-        missing = format_clan(_trusted_clan(exc.args[0], clan.p, clan.q))
-        raise _MissingElementError(
-            f"move result {missing} of {format_clan(clan)} is not among the {len(index)} "
-            "enumerated clans"
-        ) from None
-
-
 class _ClosedTable(dict):
     """Entries keyed by closed element index; any other index is not closed."""
 
@@ -419,23 +407,33 @@ def build_poset(p: int, q: int) -> OrbitPoset:
 
     Refuses p + q above :data:`POSET_MAX_N`.  The dimensions are read off the
     enumeration walk, not computed by :func:`~clans.core.dimension`, which the
-    census of ``enumerate`` and ``stats`` still calls once per class.  Each
-    clan's successor set is resolved to element indices as soon as it is
-    made, so one set of ``Clan`` objects is alive at a time.
+    census of ``enumerate`` and ``stats`` still calls once per class.  One loop
+    makes each clan's successor set, resolves it to element indices and checks
+    that each edge raises the dimension, so one set of ``Clan`` objects is
+    alive at a time and a bad edge stops the build at its own element.
     """
     if p + q > POSET_MAX_N:
         raise PosetSizeError(f"p+q={p + q} exceeds the size bound {POSET_MAX_N}")
     elements, dims = map(tuple, _clans_with_dimensions(p, q))
     index = {c.entries: i for i, c in enumerate(elements)}
-    succ = tuple([_successor_indices(index, c) for c in elements])
-    for i, targets in enumerate(succ):
+    succ = []
+    for i, clan in enumerate(elements):
+        try:
+            targets = tuple(sorted(index[s.entries] for s in successors(clan)))
+        except KeyError as exc:
+            missing = format_clan(_trusted_clan(exc.args[0], p, q))
+            raise _MissingElementError(
+                f"move result {missing} of {format_clan(clan)} is not among the "
+                f"{len(index)} enumerated clans"
+            ) from None
         for j in targets:
             if dims[j] <= dims[i]:
                 raise NonIncreasingMoveError(
-                    f"move {format_clan(elements[i])} -> {format_clan(elements[j])} "
+                    f"move {format_clan(clan)} -> {format_clan(elements[j])} "
                     f"takes the dimension from {dims[i]} to {dims[j]}"
                 )
-    return OrbitPoset(p, q, elements, dims, succ, index)
+        succ.append(targets)
+    return OrbitPoset(p, q, elements, dims, tuple(succ), index)
 
 
 def export_dot(poset: OrbitPoset) -> str:

@@ -18,7 +18,6 @@ scores 4; the sweep is what makes the test match pattern avoidance.
 from __future__ import annotations
 
 __all__ = [
-    "EXCEEDS_BUDGET",
     "ReflectionWitness",
     "collapse_to_closed",
     "springer_count",
@@ -32,11 +31,6 @@ from typing import Optional, Sequence
 
 from .core import MINUS, PLUS, Clan, ClanError, canonicalize, format_clan
 from .poset import OrbitPoset
-
-#: A closed orbit disqualifies the target only when its count strictly
-#: exceeds the budget; kept in one place so the convention is easy to revisit.
-EXCEEDS_BUDGET = operator.gt
-
 
 @dataclass(frozen=True, slots=True)
 class ReflectionWitness:
@@ -98,7 +92,7 @@ def springer_diagnosis(poset: OrbitPoset, target: Clan) -> Optional[ReflectionWi
     elements = poset.elements
     for c in poset.closed_below_indices(poset.index_of(target)):
         witness = springer_count(poset, elements[c], target)
-        if EXCEEDS_BUDGET(witness.count, witness.budget):
+        if witness.count > witness.budget:
             return witness
     return None
 

@@ -491,6 +491,26 @@ class TestUsage:
             main(["enumerate", "--p", "-1", "--q", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("text", ["\u0663", "\uff19", "3_0", "+3", " 3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--p", "{}", "--q", "1"],
+            ["enumerate", "--p", "1", "--q", "{}"],
+            ["verify", "--max-n", "{}"],
+            ["poset", "--p", "1", "--q", "1", "--jobs", "{}"],
+        ],
+        ids=["p", "q", "max-n", "jobs"],
+    )
+    def test_numbers_take_ascii_digits_only(self, capsys, argv, text):
+        # int() reads an Arabic-Indic 3, a full-width 9, 3_0, +3 and " 3"
+        with pytest.raises(SystemExit) as info:
+            main([token.format(text) for token in argv])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be >= 0, in ASCII digits" in err
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "clans", "enumerate", "--p", "1", "--q", "1"],
@@ -506,7 +526,8 @@ class TestUsage:
 #: `--out` is left out (it writes files).  `--jobs` takes valid values up to
 #: 100000, which change nothing, and -1, which argparse refuses.  `--p` and
 #: `--max-n` may be 40, which every command refuses by a bound before any work.
-small_ints = st.integers(0, 3).map(str)
+#: An Arabic-Indic 3 and 3_0 are numbers to int() but not in ASCII digits.
+small_ints = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["\u0663", "3_0"]))
 over_bound = st.one_of(small_ints, st.just("40"))
 clan_texts = st.sampled_from(
     ["1,+,-,1", "1,2,2,1", "+,-", "-,+", "1+1-", "1,1", "1,1,1", "0,+,0,-", "1,²,1,+", ""]
@@ -525,7 +546,9 @@ argv_pieces = st.one_of(
     st.tuples(st.just("--format"), st.sampled_from(["tsv", "dot", "json", "x"])),
     st.tuples(st.just("--clan"), clan_texts),
     st.tuples(st.just("--max-n"), over_bound),
-    st.tuples(st.just("--jobs"), st.sampled_from(["0", "1", "2", "100000", "-1"])),
+    st.tuples(
+        st.just("--jobs"), st.sampled_from(["0", "1", "2", "100000", "-1", "\u0663", "3_0"])
+    ),
     loose_tokens.map(lambda token: (token,)),
 )
 signatures = st.tuples(over_bound, small_ints).map(lambda pq: ["--p", pq[0], "--q", pq[1]])

@@ -34,7 +34,6 @@ from clans import (
     successors,
 )
 
-import clans.poset
 from clans.poset import _move_results
 
 import oracles
@@ -275,6 +274,25 @@ class TestBuildPoset:
         message = str(raised.value)
         assert "1,+,-,1" in message and "+,+,-,-" in message
 
+    def test_non_increasing_move_edge_stops_the_build_at_its_element(self, monkeypatch):
+        # each element's edges are checked as its successors are made, so the
+        # build stops at the bad element's own call, not after all 21 sets
+        elements = build_poset(2, 2).elements
+        closed = parse_clan("+,+,-,-", 2, 2)
+        k = elements.index(parse_clan("1,+,-,1", 2, 2))
+        assert 0 < k < len(elements) - 1
+        calls = []
+
+        def with_lower(clan):
+            calls.append(clan)
+            found = successors(clan)
+            return found | {closed} if clan == elements[k] else found
+
+        monkeypatch.setattr("clans.poset.successors", with_lower)
+        with pytest.raises(NonIncreasingMoveError):
+            build_poset(2, 2)
+        assert calls == list(elements[: k + 1])
+
     def test_one_successor_set_alive_at_a_time(self, monkeypatch):
         # each set of successor Clans is resolved to indices and freed before
         # the next is made; holding every set would fail on the second call
@@ -329,17 +347,19 @@ class TestBuildPoset:
         assert not poset.leq(low, high)
 
     def test_poset_keeps_the_index_the_moves_resolved_with(self, monkeypatch):
-        # one entries index per poset: OrbitPoset builds none of its own
+        # one entries index per poset: OrbitPoset keeps the one build_poset
+        # hands it and builds none of its own
         seen = []
-        real = clans.poset._successor_indices
+        real = OrbitPoset.__init__
 
-        def recording(index, clan):
+        def recording(self, p, q, elements, dims, succ, index):
             seen.append(index)
-            return real(index, clan)
+            real(self, p, q, elements, dims, succ, index)
 
-        monkeypatch.setattr(clans.poset, "_successor_indices", recording)
+        monkeypatch.setattr(OrbitPoset, "__init__", recording)
         poset = build_poset(3, 3)
-        assert seen and all(index is poset._index for index in seen)
+        assert len(seen) == 1 and seen[0] is poset._index
+        assert poset._index == {c.entries: i for i, c in enumerate(poset.elements)}
 
 
 class TestOrderQueries:

@@ -18,7 +18,7 @@ PUBLIC = {
     "PLUS", "MINUS", "Entry", "Clan", "ClanError", "SignaturePrefix",
     "apply_reflection", "base_dimension", "canonicalize", "count_clans",
     "dimension", "enumerate_clans", "format_clan", "is_closed", "is_sign",
-    "noncompact_reflections", "open_clan", "pair_map", "parse_clan",
+    "noncompact_reflections", "open_clan", "parse_clan",
     "prefix_signature", "token_sort_key",
     # poset
     "PAIR_CREATION", "ENDPOINT_SLIDE", "PAIR_EXCHANGE", "Move",
@@ -31,7 +31,7 @@ PUBLIC = {
     "find_embedding", "includes_any", "is_rationally_smooth",
     "structural_check", "verdict_json", "verify_certificate",
     # springer
-    "EXCEEDS_BUDGET", "ReflectionWitness", "collapse_to_closed",
+    "ReflectionWitness", "collapse_to_closed",
     "springer_count", "springer_diagnosis", "witness_json",
     # verify
     "BudgetStatistic", "CheckResult", "report_lines", "run_checks",
@@ -52,7 +52,7 @@ def _top_level_definitions(module) -> set[str]:
 
 
 def test_package_names_unchanged():
-    assert len(PUBLIC) == 62
+    assert len(PUBLIC) == 60
     assert len(clans.__all__) == len(set(clans.__all__))
     assert set(clans.__all__) == PUBLIC
     for name in clans.__all__:

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import operator
 import pickle
 from dataclasses import FrozenInstanceError
 from math import comb
@@ -10,7 +9,6 @@ from math import comb
 import pytest
 
 from clans import (
-    EXCEEDS_BUDGET,
     Clan,
     ClanError,
     FORBIDDEN_PATTERNS,
@@ -386,7 +384,12 @@ class TestDiagnosis:
                 assert springer_diagnosis(poset, poset.maximum()) is None
 
     def test_comparison_is_strict(self):
-        assert EXCEEDS_BUDGET is operator.gt
+        # a count equal to its budget passes: only a strict excess disqualifies
+        poset = oracles.get_poset(1, 1)
+        closed, target = parse_clan("+,-", 1, 1), parse_clan("1,1", 1, 1)
+        witness = springer_count(poset, closed, target)
+        assert witness.count == witness.budget == 1
+        assert springer_diagnosis(poset, target) is None
 
 
 def witness_digest(lengths):

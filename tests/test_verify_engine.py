@@ -161,6 +161,22 @@ def test_cli_verify_reports_a_missing_element_in_one_line(monkeypatch, capsys, j
     ]
 
 
+def test_count_reports_a_clan_enumerated_twice(monkeypatch):
+    # the walk yields +,+,-,- again in place of -,-,+,+: both are closed and
+    # neither is a move result, so only the distinctness test sees it
+    walk = clans.poset._clans_with_dimensions
+    twice, lost = parse_clan("+,+,-,-", 2, 2), parse_clan("-,-,+,+", 2, 2)
+
+    def walk_with_repeat(p, q):
+        found, dims = walk(p, q)
+        return [twice if c == lost else c for c in found], dims
+
+    monkeypatch.setattr("clans.poset._clans_with_dimensions", walk_with_repeat)
+    assert "FAIL count p=2 q=2: 21 clans, 6 closed" in _fail_lines(
+        report_lines(*run_checks(max_n=4))
+    )
+
+
 def test_poset_extremes_reports_two_tops(monkeypatch):
     # -,+ loses its only move, so it stays a top beside 1,1
     _edit_successors(monkeypatch, "-,+", 1, 1, lambda found: set())
