@@ -462,11 +462,17 @@ class TestClosedAndOpen:
             open_clan(0, 0)
 
 
+def test_pair_map():
+    # pair number k is the k-th entry of Clan.pairs
+    clan = parse_clan("1,2,1,3,2,3", 3, 3)
+    assert dict(enumerate(clan.pairs, start=1)) == {1: (1, 3), 2: (2, 5), 3: (4, 6)}
+    assert clan.mates() == {1: 3, 3: 1, 2: 5, 5: 2, 4: 6, 6: 4}
+    assert parse_clan("+,-", 1, 1).pairs == ()
+
+
 def test_pairs_and_mates_match_the_oracle():
     # Clan.pairs and Clan.mates() rely on canonical numbering; the oracle
     # looks up each number's two positions
-    clan = parse_clan("1,2,1,3,2,3", 3, 3)
-    assert clan.mates() == {1: 3, 3: 1, 2: 5, 5: 2, 4: 6, 6: 4}
     for clan in clans_up_to(7):
         assert clan.pairs == tuple(oracles.naive_pairs(clan))
         assert clan.mates() == oracles.naive_mates(clan)
